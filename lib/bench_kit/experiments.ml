@@ -319,9 +319,9 @@ let sections =
     {
       s_id = "e25";
       s_title =
-        "E25: vectorized batch-major residue execution — one pass per opcode over all \
-         lanes vs slot-major (lib/keynote/vexec)";
-      s_unit = "us/call (speedup rows: x)";
+        "E25: batch-major residue execution on the lane executor — one pass per opcode \
+         over all lanes vs per-slot compiled (lib/keynote/vexec)";
+      s_unit = "us/call";
       s_tasks = (fun ~full -> Vexec_bench.task_count (e25_config ~full));
       s_dispatches = (fun ~full -> Vexec_bench.dispatch_count (e25_config ~full));
       s_run =
@@ -329,9 +329,9 @@ let sections =
           Vexec_bench.run ~runner ~config:(e25_config ~full) ()
           |> entries_outcome
                ~title:
-                 "E25: vectorized batch-major residue execution — one pass per opcode \
-                  over all lanes vs slot-major (lib/keynote/vexec)"
-               ~unit_:"us/call (speedup rows: x)");
+                 "E25: batch-major residue execution on the lane executor — one pass \
+                  per opcode over all lanes vs per-slot compiled (lib/keynote/vexec)"
+               ~unit_:"us/call");
     };
   ]
 

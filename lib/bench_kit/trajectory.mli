@@ -35,7 +35,8 @@ val of_string : string -> entry list
     unknown schema/version. *)
 
 val sorted : entry list -> entry list
-(** History order: by (date, commit, snapshot name). *)
+(** History order: by date, entries of the same date in the order they
+    were appended (a stable sort — commit hashes carry no order). *)
 
 val append : entry list -> entry -> entry list
 (** Append-and-sort; a duplicate (same date, commit and snapshot) is

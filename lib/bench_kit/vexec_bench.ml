@@ -1,38 +1,40 @@
-(* E25: vectorized batch-major residue execution — one pass per opcode
-   over all N lanes — against slot-major fused replay and per-slot
-   compiled execution, across batch size, assertion count and both
-   batched admission transports (ring trap, E22 kernel poller; msgq is
-   scalar by construction and has no vector row).
+(* E25: batch-major residue execution — the lane executor running one
+   pass per opcode over all N lanes — against per-slot compiled
+   execution, across batch size, assertion count and both batched
+   admission transports (ring trap, E22 kernel poller; msgq admits one
+   call per trap and has no batch row).
+
+   The "vectorized" engine is simply compile + fuse: with fusion on,
+   every fused evaluation runs on the lane executor, batch-major whenever
+   the batch is eligible (Policy.vector_eligible, at least two lanes,
+   at least two distinct functions for a cacheable policy).  Batch 1 is
+   therefore the one-lane path.
 
    The E24 ladder is useless here: its matching rung reads calls_so_far,
    which makes lane k's input depend on how many earlier lanes were
-   allowed — exactly the volatile shape the vector path refuses
-   (Policy.vector_eligible) and falls back slot-major on.  So this
-   ladder keeps the same invariant conjuncts but varies on [function]
-   instead: every rung opens with a function term, which drags the whole
-   segment into the per-slot residue (a segment reading any varying
-   attribute is residue wholesale).  Fusion hoists nothing; the fused
-   engine replays the full ladder per slot, and the vectorized engine
-   walks the same opcodes once per batch at ceil(live/W) units per pass
-   — the lane-width discount is the measured claim.
+   allowed — exactly the volatile shape that stays one lane per slot.
+   So this ladder keeps the same invariant conjuncts but varies on
+   [function] instead: every rung opens with a function term, which drags
+   the whole segment into the per-slot residue (a segment reading any
+   varying attribute is residue wholesale).  Fusion hoists nothing; the
+   lane executor walks the full ladder once per batch at ceil(live/W)
+   units per pass — the lane-width discount is the measured claim.
 
-   Two details defeat the scalar path's own batch memo: the ladder is a
-   pure function of [function] (cacheable), so the slot-major decider
-   memoizes per func_id within a batch — one evaluation per distinct
-   function — and the vector pre-pass deduplicates the same way.  A
-   single-function batch would therefore measure 1 evaluation vs 1
-   evaluation.  The bench registers its own 128-function module
-   ("vecmod": 64 allow-family vf_nn, 64 deny-family xf_nn) and gives
-   every slot a distinct function via {!Stub.call_batch_funcs}, so a batch of
-   64 is 64 genuine evaluations on the scalar engines and one vectorized
-   sweep on the vector engine.
+   The ladder is a pure function of [function] (cacheable), so both the
+   per-slot decider's batch memo and the batch-major pre-pass evaluate
+   once per distinct function.  A single-function batch would therefore
+   measure 1 evaluation vs 1 evaluation.  The bench registers its own
+   128-function module ("vecmod": 64 allow-family vf_nn, 64 deny-family
+   xf_nn) and gives every slot a distinct function via
+   {!Stub.call_batch_funcs}, so a batch of 64 is 64 genuine evaluations
+   on the per-slot engine and one batch-major run on the lane executor.
 
    The divergence ladder rides along: X% of a 64-slot batch calls
    deny-family functions (function < "x" fails), which fail the matching
    rung's first test and jump to segment end after one pass — the live
    count the ceil(live/W) charge sees shrinks, without branching the
-   walk.  0/25/50/100% denying lanes measure how the vector win degrades
-   (or doesn't) under divergence.
+   walk.  0/25/50/100% denying lanes measure how the cost degrades (or
+   doesn't) under divergence.
 
    Each (cell, trial) task builds a private world from coordinate-derived
    seeds, so the document is bit-identical for any job count. *)
@@ -47,9 +49,9 @@ type transport = Ring | Poller
 
 let transport_name = function Ring -> "ring" | Poller -> "poller"
 
-type engine = Perslot | Fused | Vector
+type engine = Perslot | Vector
 
-let engine_name = function Perslot -> "perslot" | Fused -> "fused" | Vector -> "vectorized"
+let engine_name = function Perslot -> "perslot" | Vector -> "vectorized"
 
 type config = {
   cells : (int * int) list;  (* (batch, assertions) *)
@@ -92,8 +94,8 @@ let image () =
 
 (* [n]-assertion ladder, all-residue: every rung opens with a function
    term ahead of the same invariant conjuncts, so no segment is
-   batch-invariant and the whole ladder replays per slot on the fused
-   engine.  The matching rung's guard is a parameter: the main ladder
+   batch-invariant and the whole ladder runs per slot (or per batch of
+   lanes).  The matching rung's guard is a parameter: the main ladder
    uses a tautology (every function allowed); the divergence ladder uses
    [function < "x"], which admits vf_* and refuses xf_* on the first
    test of the segment. *)
@@ -134,13 +136,9 @@ let ladder_policy ?(matching_guard = "function != \"__none\"") n =
 
 let set_engine smod = function
   | Perslot -> Smod.set_policy_compile smod true
-  | Fused ->
-      Smod.set_policy_compile smod true;
-      Smod.set_policy_fuse smod true
   | Vector ->
       Smod.set_policy_compile smod true;
-      Smod.set_policy_fuse smod true;
-      Smod.set_policy_vectorize smod true
+      Smod.set_policy_fuse smod true
 
 (* [deny_pct] of the batch calls deny-family functions, interleaved
    (i mod 4 spread) so divergence is within every ring chunk rather than
@@ -192,10 +190,12 @@ let cell_trial ~policy ~transport ~engine ~batch ~deny_pct ~rounds ~seed =
 (* The experiment                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let engines = [ Perslot; Fused; Vector ]
-let div_engines = [ Fused; Vector ]
+let engines = [ Perslot; Vector ]
+let div_engines = [ Vector ]
 
-let engine_offset = function Perslot -> 0 | Fused -> 7 | Vector -> 14
+(* Seed offsets predate the removal of a third engine (offset 7); kept so
+   the remaining rows measure the same worlds. *)
+let engine_offset = function Perslot -> 0 | Vector -> 14
 
 let run ?(runner = Runner.sequential) ?(config = default_config) () =
   let main_configs =
@@ -230,52 +230,20 @@ let run ?(runner = Runner.sequential) ?(config = default_config) () =
   let results =
     Ablations.map_trials runner ~trials:config.trials (main_configs @ div_configs) measure
   in
-  let mean_of pairs = Stats.mean (Array.map fst pairs) in
   let label_of = function
     | `Main (batch, kn, transport, e) ->
         Printf.sprintf "%s b%d kn-%d %s" (transport_name transport) batch kn
           (engine_name e)
     | `Div (pct, e) -> Printf.sprintf "div-%d ring b64 kn-16 %s" pct (engine_name e)
   in
-  let measured =
-    List.concat_map
-      (fun (cfg, pairs) ->
-        let label = label_of cfg in
-        [
-          Ablations.entry_of_means (label ^ " (mean)") (Array.map fst pairs);
-          Ablations.entry_of_means (label ^ " (p99)") (Array.map snd pairs);
-        ])
-      results
-  in
-  (* Speedup ratios per cell: the vector win over the fused engine (the
-     headline) and the fused win over per-slot (continuity with E24 on
-     an all-residue ladder, where hoisting buys nothing). *)
-  let ratio label num den = Ablations.{ label; mean_us = num /. den; stdev_us = 0.0 } in
-  let main_ratios =
-    List.concat_map
-      (fun (batch, kn) ->
-        List.concat_map
-          (fun transport ->
-            let find e = mean_of (List.assoc (`Main (batch, kn, transport, e)) results) in
-            let perslot = find Perslot and fused = find Fused and vector = find Vector in
-            let cell = Printf.sprintf "%s b%d kn-%d" (transport_name transport) batch kn in
-            [
-              ratio (cell ^ " vec speedup (ratio)") fused vector;
-              ratio (cell ^ " fused speedup (ratio)") perslot fused;
-            ])
-          [ Ring; Poller ])
-      config.cells
-  in
-  let div_ratios =
-    List.map
-      (fun pct ->
-        let find e = mean_of (List.assoc (`Div (pct, e)) results) in
-        ratio
-          (Printf.sprintf "div-%d ring b64 kn-16 vec speedup (ratio)" pct)
-          (find Fused) (find Vector))
-      config.divergence
-  in
-  measured @ main_ratios @ div_ratios
+  List.concat_map
+    (fun (cfg, pairs) ->
+      let label = label_of cfg in
+      [
+        Ablations.entry_of_means (label ^ " (mean)") (Array.map fst pairs);
+        Ablations.entry_of_means (label ^ " (p99)") (Array.map snd pairs);
+      ])
+    results
 
 let task_count config =
   ((List.length engines * 2 * List.length config.cells)

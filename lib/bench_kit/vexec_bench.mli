@@ -1,14 +1,15 @@
-(** E25: vectorized batch-major residue execution (lib/keynote/vexec)
-    against slot-major fused replay and per-slot compiled execution.
+(** E25: batch-major residue execution on the lane executor
+    (lib/keynote/vexec, chosen by eligibility once fusion is on) against
+    per-slot compiled execution.
 
     The ladder varies on [function] (all-residue: fusion hoists
     nothing), served by a private 128-function "vecmod" module so every
     slot of a batch carries a distinct funcID — which defeats both the
-    scalar batch memo and the vector pre-pass dedup, making the engines
-    comparable at full batch width.  A divergence ladder measures the
-    lane-mask ceil(live/W) charge as 0/25/50/100% of lanes deny on the
-    matching rung's first test.  Ring and poller transports only: the
-    msgq path admits one call per trap and has no batch to vectorize. *)
+    per-slot batch memo and the batch-major pre-pass dedup, making the
+    engines comparable at full batch width.  A divergence ladder
+    measures the lane-mask ceil(live/W) charge as 0/25/50/100% of lanes
+    deny on the matching rung's first test.  Ring and poller transports
+    only: the msgq path admits one call per trap and has no batch. *)
 
 type config = {
   cells : (int * int) list;  (** (batch size, ladder assertions) *)
@@ -21,10 +22,8 @@ val default_config : config
 
 val run :
   ?runner:Runner.t -> ?config:config -> unit -> Ablations.entry list
-(** Mean/p99 rows per (transport, batch, kn, engine) cell, divergence
-    rows at ring b64 kn-16, and per-cell speedup ratios: "vec speedup"
-    (fused mean / vectorized mean — the headline) and "fused speedup"
-    (perslot mean / fused mean).  Deterministic for any runner job
+(** Mean/p99 rows per (transport, batch, kn, engine) cell and
+    vectorized divergence rows at ring b64 kn-16.  Deterministic for any runner job
     count: each (cell, trial) builds a private world from
     coordinate-derived seeds. *)
 

@@ -156,17 +156,21 @@ let finish t (p : Proc.t) status =
       t.procs false
   in
   if not shared_with_live then Aspace.destroy p.aspace;
-  (* Notify the parent: SIGCHLD plus a wakeup if it is in wait(). *)
-  match proc t p.ppid with
-  | None -> ()
-  | Some parent -> (
-      send_signal parent Signal.sigchld;
-      match parent.state with
-      | Proc.Blocked Sched.Wait_child ->
-          parent.state <- Proc.Ready;
-          Queue.add parent.pid t.ready_queue;
-          Clock.charge t.clock Cost.Sched_wakeup
-      | _ -> ())
+  (* A forced-fork child is reaped by the kernel itself: its parent never
+     learned of it, so no SIGCHLD and no zombie left behind. *)
+  if p.reap_on_exit then Hashtbl.remove t.procs p.pid
+  else
+    (* Notify the parent: SIGCHLD plus a wakeup if it is in wait(). *)
+    match proc t p.ppid with
+    | None -> ()
+    | Some parent -> (
+        send_signal parent Signal.sigchld;
+        match parent.state with
+        | Proc.Blocked Sched.Wait_child ->
+            parent.state <- Proc.Ready;
+            Queue.add parent.pid t.ready_queue;
+            Clock.charge t.clock Cost.Sched_wakeup
+        | _ -> ())
 
 let crash t (p : Proc.t) signal =
   if not p.no_core_dump then begin
@@ -234,6 +238,7 @@ let make_proc t ?(daemon = false) ?aspace ?(uid = 1000) ~ppid ~role ~name body =
       traced_by = None;
       core_dumped = false;
       exit_hooks = [];
+      reap_on_exit = false;
     }
   in
   p.resume <- Proc.Start (run_body t p body);
@@ -430,7 +435,7 @@ let sys_fork t (p : Proc.t) ~name ~child_body =
 let forced_fork t (p : Proc.t) ~name ~daemon ~role ~aspace ~body =
   Clock.charge t.clock Cost.Fork_base;
   let child = make_proc t ~daemon ~aspace ~uid:p.uid ~ppid:p.pid ~role ~name body in
-  p.children <- child.pid :: p.children;
+  child.reap_on_exit <- true;
   Trace.emitf t.trace ~clock:t.clock ~actor:"kernel" "forced fork of %s -> pid %d (%s)" p.name
     child.pid name;
   child

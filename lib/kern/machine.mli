@@ -97,7 +97,10 @@ val forced_fork :
   Proc.t
 (** The kernel-initiated fork used by [sys_smod_start_session] (paper §4,
     step 2): the kernel "forcibly forks the child process" with an
-    explicitly prepared address space, role and body. *)
+    explicitly prepared address space, role and body.  The child's ppid
+    is [p], but [p] never waits for it: it is not listed among [p]'s
+    children, and when it exits the kernel reaps it — it leaves the
+    process table and no SIGCHLD is sent. *)
 
 val sys_execve : t -> Proc.t -> image:string -> unit
 (** Runs registered exec hooks (SecModule uses one to detach the session

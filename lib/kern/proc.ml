@@ -38,6 +38,7 @@ type t = {
   mutable traced_by : int option;
   mutable core_dumped : bool;
   mutable exit_hooks : (t -> unit) list;
+  mutable reap_on_exit : bool;
 }
 
 let is_zombie t = match t.state with Zombie _ -> true | _ -> false

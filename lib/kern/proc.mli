@@ -46,6 +46,9 @@ type t = {
   mutable traced_by : int option;
   mutable core_dumped : bool;
   mutable exit_hooks : (t -> unit) list;
+  mutable reap_on_exit : bool;
+      (** kernel-forked (forced fork): leaves the process table when it
+          exits, without a SIGCHLD — its parent never waits for it *)
 }
 
 val is_zombie : t -> bool

@@ -1,12 +1,13 @@
-(* Fused batch execution of compiled decision programs.
+(* Fused batch plans for compiled decision programs.
 
    [Compile.run] executes one full program per admission query.  Under a
    64-slot ring batch that is 64 complete interpreter passes even though
    every opcode that depends only on the credential chain, the module
    identity, and the call origin computes the same value in every slot.
-   This module re-lowers a compiled program into *segments*, classifies
-   each segment as batch-invariant or per-slot, runs the invariant part
-   once per batch into a snapshot, and replays only the residue per slot.
+   This module re-lowers a compiled program into *segments* and
+   classifies each segment as batch-invariant or per-slot; the lane
+   executor ([Vexec]) runs the invariant part once per batch into a
+   snapshot and then only the residue per slot (or per batch of lanes).
 
    The re-lowering leans on a structural property of [Compile.compile]:
    because nested emissions (licensee principals, shared-principal merges)
@@ -397,203 +398,6 @@ let plan program ~varying =
     f_levels = levels; f_max_seg = max_seg }
 
 (* ------------------------------------------------------------------ *)
-(* Execution                                                           *)
-(* ------------------------------------------------------------------ *)
-
-type snapshot = { s_nodes : int array; s_setup_ops : int }
-
-let m_scope = Smod_metrics.scope "keynote"
-let m_fused_batches = Smod_metrics.Scope.counter m_scope "fused_batches"
-let m_fused_slots = Smod_metrics.Scope.counter m_scope "fused_slots"
-let m_fused_ops = Smod_metrics.Scope.counter m_scope "fused_ops"
-
-let origin_value origin = function
-  | OF_module -> origin.o_module
-  | OF_ring -> string_of_int origin.o_ring
-  | OF_transport -> origin.o_transport
-
-let holds op c = match op with
-  | Ast.Eq -> c = 0
-  | Ast.Ne -> c <> 0
-  | Ast.Lt -> c < 0
-  | Ast.Le -> c <= 0
-  | Ast.Gt -> c > 0
-  | Ast.Ge -> c >= 0
-
-(* One segment, local program counter and stack.  Returns the value left
-   on the stack (only the [Root] segment leaves one). *)
-let exec_seg ops ~nodes ~origin ~attrs ~stack ~ops_count =
-  let n = Array.length ops in
-  let sp = ref 0 in
-  let push v =
-    stack.(!sp) <- v;
-    incr sp
-  in
-  let pop () =
-    decr sp;
-    stack.(!sp)
-  in
-  let operand_value = function
-    | Compile.O_str s -> s
-    | Compile.O_attr a -> (
-        match List.assoc_opt a attrs with Some v -> v | None -> "")
-  in
-  let test a op b = holds op (Compile.compare_values (operand_value a) (operand_value b)) in
-  let otest f op b =
-    holds op (Compile.compare_values (origin_value origin f) (operand_value b))
-  in
-  let acc = ref 0 in
-  let pc = ref 0 in
-  while !pc < n do
-    incr ops_count;
-    match ops.(!pc) with
-    | F_test (a, op, b) ->
-        push (if test a op b then 1 else 0);
-        incr pc
-    | F_push_bool b ->
-        push (if b then 1 else 0);
-        incr pc
-    | F_not ->
-        stack.(!sp - 1) <- (if stack.(!sp - 1) = 0 then 1 else 0);
-        incr pc
-    | F_jfalse target ->
-        if stack.(!sp - 1) = 0 then pc := target
-        else begin
-          ignore (pop ());
-          incr pc
-        end
-    | F_jtrue target ->
-        if stack.(!sp - 1) <> 0 then pc := target
-        else begin
-          ignore (pop ());
-          incr pc
-        end
-    | F_node_begin ->
-        acc := 0;
-        incr pc
-    | F_clause level ->
-        if pop () <> 0 then acc := max !acc level;
-        incr pc
-    | F_push_level v ->
-        push v;
-        incr pc
-    | F_load_node i ->
-        push nodes.(i);
-        incr pc
-    | F_min2 ->
-        let b = pop () in
-        let a = pop () in
-        push (min a b);
-        incr pc
-    | F_max2 ->
-        let b = pop () in
-        let a = pop () in
-        push (max a b);
-        incr pc
-    | F_kof (k, count) ->
-        let members = ref [] in
-        for _ = 1 to count do
-          members := pop () :: !members
-        done;
-        push (Compile.kth_largest k !members);
-        incr pc
-    | F_node_end i ->
-        let lic = pop () in
-        nodes.(i) <- min !acc lic;
-        incr pc
-    | F_node_end_const (i, lic) ->
-        nodes.(i) <- min !acc lic;
-        incr pc
-    | F_store_node i ->
-        nodes.(i) <- pop ();
-        incr pc
-    | F_root (base, roots) ->
-        push (Array.fold_left (fun m i -> max m nodes.(i)) base roots);
-        incr pc
-    (* superoperators: exact composition of the two base opcodes *)
-    | F_test_jf (a, op, b, target) ->
-        if test a op b then incr pc
-        else begin
-          push 0;
-          pc := target
-        end
-    | F_test_jt (a, op, b, target) ->
-        if test a op b then begin
-          push 1;
-          pc := target
-        end
-        else incr pc
-    | F_test_clause (a, op, b, level) ->
-        if test a op b then acc := max !acc level;
-        incr pc
-    | F_load_max i ->
-        stack.(!sp - 1) <- max stack.(!sp - 1) nodes.(i);
-        incr pc
-    | F_const_max c ->
-        stack.(!sp - 1) <- max stack.(!sp - 1) c;
-        incr pc
-    | F_const_min c ->
-        stack.(!sp - 1) <- min stack.(!sp - 1) c;
-        incr pc
-    | F_origin (f, op, b) ->
-        push (if otest f op b then 1 else 0);
-        incr pc
-    | F_origin_jf (f, op, b, target) ->
-        if otest f op b then incr pc
-        else begin
-          push 0;
-          pc := target
-        end
-    | F_origin_jt (f, op, b, target) ->
-        if otest f op b then begin
-          push 1;
-          pc := target
-        end
-        else incr pc
-    | F_origin_clause (f, op, b, level) ->
-        if otest f op b then acc := max !acc level;
-        incr pc
-  done;
-  if !sp > 0 then Some stack.(!sp - 1) else None
-
-let begin_batch t ~origin ~attrs =
-  let nodes = Array.make (max t.f_nnodes 1) 0 in
-  let stack = Array.make (t.f_max_seg + 1) 0 in
-  let ops_count = ref 0 in
-  Array.iter
-    (fun si -> ignore (exec_seg t.f_segs.(si).ops ~nodes ~origin ~attrs ~stack ~ops_count))
-    t.f_prefix;
-  Smod_metrics.Counter.incr m_fused_batches;
-  Smod_metrics.Counter.add m_fused_ops !ops_count;
-  { s_nodes = nodes; s_setup_ops = !ops_count }
-
-(* Per-slot residue replay.  Residue segments only ever write nodes that
-   residue segments themselves define (a reader of a variant node is
-   itself variant by construction), and each is rewritten before it is
-   read within a slot — so the snapshot's node array is safely reused in
-   place across slots, with the invariant entries never touched. *)
-let run_slot t snapshot ~origin ~attrs =
-  let nodes = snapshot.s_nodes in
-  let stack = Array.make (t.f_max_seg + 1) 0 in
-  let ops_count = ref 0 in
-  let result = ref 0 in
-  Array.iter
-    (fun si ->
-      match exec_seg t.f_segs.(si).ops ~nodes ~origin ~attrs ~stack ~ops_count with
-      | Some v -> result := v
-      | None -> ())
-    t.f_residue;
-  let index = max 0 (min (Array.length t.f_levels - 1) !result) in
-  Smod_metrics.Counter.incr m_fused_slots;
-  Smod_metrics.Counter.add m_fused_ops !ops_count;
-  Compile.{ level = t.f_levels.(index); index; ops = !ops_count }
-
-let run t ~origin ~attrs =
-  let snapshot = begin_batch t ~origin ~attrs in
-  let outcome = run_slot t snapshot ~origin ~attrs in
-  (snapshot, outcome)
-
-(* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -643,10 +447,10 @@ let prefix_fraction t =
   if s.total_fops = 0 then 0.0
   else float_of_int s.invariant_fops /. float_of_int s.total_fops
 
-(* Plan internals for the batch-major executor (Vexec): the vectorized
-   walk re-interprets residue segments lane-major, so it needs the raw
-   lowered form, not just [run_slot]. *)
+(* Plan internals for the lane executor (Vexec), which runs the raw
+   lowered segments. *)
 let segments t = t.f_segs
+let prefix_segments t = t.f_prefix
 let residue_segments t = t.f_residue
 let levels t = t.f_levels
 let node_count t = t.f_nnodes

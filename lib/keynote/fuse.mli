@@ -1,4 +1,4 @@
-(** Fused batch execution of compiled decision programs.
+(** Fused batch plans for compiled decision programs.
 
     [Compile.run] is one full interpreter pass per admission query; under
     a 64-slot ring batch that is 64 passes over a program most of whose
@@ -7,21 +7,17 @@
     compiled program into contiguous segments, fuses common opcode pairs
     into superoperators, interns segment arrays in a domain-local
     structural-sharing arena, and partitions the segments into a
-    batch-invariant prefix and a per-slot residue.  [begin_batch] runs the
-    prefix once into a {!snapshot}; [run_slot] replays only the residue
-    per slot.
-
-    Cost accounting is the caller's job, mirroring [Compile.run]: charge
-    [Cost_model.Policy_fused_setup] plus [s_setup_ops] compiled-op units
-    when a snapshot is built, and [outcome.ops] compiled-op units per
-    slot.  Each superoperator executes (and is charged as) {e one} op —
-    that, plus prefix hoisting, is the entire speedup; there is no
+    batch-invariant prefix and a per-slot residue.  Execution is the lane
+    executor's job ({!Vexec}): [Vexec.begin_batch] runs the prefix once
+    into a snapshot, [Vexec.run_residue] runs the residue over one or
+    more lanes.  Each superoperator executes (and is charged as) {e one}
+    op — that, plus prefix hoisting, is the entire speedup; there is no
     hidden discount.
 
     Verdict parity: for any program, origin, and attribute list that
-    includes the origin pairs (as the dispatcher guarantees),
-    [run_slot] returns exactly [Compile.run]'s outcome modulo [ops] —
-    asserted over randomized programs by [test/test_compile.ml]. *)
+    includes the origin pairs (as the dispatcher guarantees), the
+    residue's verdict equals [Compile.run]'s — asserted over randomized
+    programs by [test/test_compile.ml]. *)
 
 type origin = { o_module : string; o_ring : int; o_transport : string }
 (** Caller provenance, resolved by the kernel from session state at
@@ -64,10 +60,10 @@ type fop =
   | F_origin_jf of ofield * Ast.cmp * Compile.operand * int
   | F_origin_jt of ofield * Ast.cmp * Compile.operand * int
   | F_origin_clause of ofield * Ast.cmp * Compile.operand * int
-      (** The lowered opcode set, public so the batch-major executor
-          ({!Vexec}) can re-interpret residue segments lane-major.  All
-          jumps are segment-relative and — a property [Compile.compile]
-          guarantees and {!Vexec} relies on — strictly forward. *)
+      (** The lowered opcode set, public so the lane executor ({!Vexec})
+          can run it.  All jumps are segment-relative and — a property
+          [Compile.compile] guarantees and {!Vexec} relies on — strictly
+          forward. *)
 
 type seg = { ops : fop array; invariant : bool }
 
@@ -75,13 +71,6 @@ type t
 (** A fused plan for one compiled program.  Immutable and, like the
     program it lowers, safe to cache per (credential, policy revision,
     keystore generation). *)
-
-type snapshot = {
-  s_nodes : int array;
-      (** value-node results; invariant entries are final, variant entries
-          are scratch space the residue rewrites every slot *)
-  s_setup_ops : int;  (** prefix opcodes executed building the snapshot *)
-}
 
 val plan : Compile.t -> varying:string list -> t
 (** Lower, fuse, intern, and partition.  [varying] names the action
@@ -92,25 +81,14 @@ val plan : Compile.t -> varying:string list -> t
     segmentation degrades to an all-residue plan (per-slot execution,
     still superoperator-fused), never to wrong answers. *)
 
-val begin_batch : t -> origin:origin -> attrs:(string * string) list -> snapshot
-(** Evaluate the batch-invariant prefix once.  [attrs] here are the
-    batch-invariant attributes (module, phase, static policy attributes,
-    origin pairs); varying attributes are absent by construction — no
-    prefix opcode reads them. *)
-
-val run_slot :
-  t -> snapshot -> origin:origin -> attrs:(string * string) list -> Compile.outcome
-(** Evaluate the per-slot residue against one slot's full attribute list.
-    [ops] is the residue opcode count — the per-slot cost driver.  The
-    snapshot may be reused across any number of slots and batches until
-    the program it came from is invalidated. *)
-
-val run : t -> origin:origin -> attrs:(string * string) list -> snapshot * Compile.outcome
-(** [begin_batch] + [run_slot] in one step, for scalar callers and tests. *)
-
 (** {2 Plan internals (consumed by {!Vexec})} *)
 
 val segments : t -> seg array
+
+val prefix_segments : t -> int array
+(** Indices into {!segments} of the batch-invariant prefix, program
+    order. *)
+
 val residue_segments : t -> int array
 (** Indices into {!segments} of the per-slot residue, program order
     (includes the root segment). *)
@@ -120,16 +98,11 @@ val node_count : t -> int
 val max_seg : t -> int
 (** Longest segment in opcodes — bounds any per-lane evaluation stack. *)
 
-val origin_value : origin -> ofield -> string
-val holds : Ast.cmp -> int -> bool
-(** [holds cmp c] applies [cmp] to a [Compile.compare_values] result —
-    exported so every engine shares one comparison semantics. *)
-
 val residue_reads : t -> string list -> bool
 (** Does any residue opcode read one of the named attributes?  Used by
     the vector-eligibility test: a residue that reads a volatile
     attribute ([calls_so_far]) has a lane-order data dependency and must
-    stay slot-major.  Direct reads suffice — an opcode reading the
+    run one lane per slot.  Direct reads suffice — an opcode reading the
     attribute is itself in the residue by construction. *)
 
 (** {2 Introspection} *)

@@ -282,7 +282,7 @@ type fused_ctx =
   | FC_pass of t
   | FC_keynote of {
       plan : Fuse.t;
-      snapshot : Fuse.snapshot;
+      snapshot : Vexec.snapshot;
       min_index : int;
       min_level : string;
       static_attrs : (string * string) list;
@@ -309,79 +309,40 @@ let begin_fused ~clock ~origin ~attrs compiled =
     | C_keynote { plan = None; _ } as c -> FC_slow c
     | C_keynote { plan = Some plan; min_index; min_level; static_attrs; policy; _ } ->
         Clock.charge clock Cost.Policy_fused_setup;
-        let snapshot = Fuse.begin_batch plan ~origin ~attrs:(attrs @ static_attrs) in
-        Clock.charge_n clock Cost.Policy_compiled_op snapshot.Fuse.s_setup_ops;
+        let snapshot = Vexec.begin_batch plan ~origin ~attrs:(attrs @ static_attrs) in
+        Clock.charge_n clock Cost.Policy_compiled_op snapshot.Vexec.s_setup_ops;
         FC_keynote { plan; snapshot; min_index; min_level; static_attrs; policy }
     | C_all (cs, p) -> FC_all (List.map arm cs, p)
   in
   arm compiled
 
-let rec check_fused_inner ~clock ~now_us ~credential ~origin ~attrs ctx state =
-  match (ctx, state) with
-  | FC_pass p, s -> check_inner ~clock ~now_us ~credential ~attrs p s
-  | FC_slow c, s -> check_compiled_inner ~clock ~now_us ~credential ~attrs c s
-  | FC_keynote { plan; snapshot; min_index; min_level; static_attrs; policy }, S_none -> (
-      let outcome =
-        Fuse.run_slot plan snapshot ~origin ~attrs:(attrs @ static_attrs)
-      in
-      Clock.charge_n clock Cost.Policy_compiled_op outcome.Compile.ops;
-      match outcome.Compile.index >= min_index with
-      | true -> Ok ()
-      | false ->
-          deny policy
-            (Printf.sprintf "keynote compliance %S below required %S"
-               outcome.Compile.level min_level))
-  | FC_deny { reason; policy }, _ ->
-      Clock.charge clock Cost.Policy_compiled_op;
-      deny policy reason
-  | FC_all (cs, policy), S_list states ->
-      let rec all cs states =
-        match (cs, states) with
-        | [], [] -> Ok ()
-        | c :: cs', s :: ss' -> (
-            match check_fused_inner ~clock ~now_us ~credential ~origin ~attrs c s with
-            | Ok () -> all cs' ss'
-            | Error _ as e -> e)
-        | _ -> deny policy "policy/state shape mismatch"
-      in
-      all cs states
-  | FC_keynote { policy; _ }, _ | FC_all (_, policy), _ ->
-      deny policy "policy/state shape mismatch"
-
-let check_fused ~clock ~now_us ~credential ~origin ~attrs ctx state =
-  Smod_metrics.Counter.incr m_policy_checks;
-  match check_fused_inner ~clock ~now_us ~credential ~origin ~attrs ctx state with
-  | Ok () as ok -> ok
-  | Error _ as e ->
-      Smod_metrics.Counter.incr m_policy_denials;
-      e
-
 (* ------------------------------------------------------------------ *)
-(* Vectorized (batch-major) checking — E25                              *)
+(* Fused checking: the lane executor at N >= 1                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Arm-major evaluation of a whole batch: each arm of the fused tree is
+(* Arm-major evaluation over N lanes: each arm of the fused tree is
    evaluated over all lanes before the next arm runs, with a shared
    alive mask so an arm never touches a lane an earlier arm already
-   denied.  KeyNote arms run batch-major through [Vexec]; stateful arms
-   (quotas) are delegated per lane *in lane order*, which reproduces the
-   slot-major path's counter semantics exactly: a quota verdict for lane
-   k depends only on how many earlier lanes reached that arm, and the
-   alive mask is precisely "reached".
+   denied.  KeyNote arms run through [Vexec]; stateful arms (quotas) are
+   delegated per lane *in lane order*, which reproduces one-slot-at-a-time
+   counter semantics exactly: a quota verdict for lane k depends only on
+   how many earlier lanes reached that arm, and the alive mask is
+   precisely "reached".  At N = 1 this is the scalar fused check (a
+   scalar msgq call, or one slot of a batch evaluated slot by slot).
 
-   Eligibility is conservative and decided per batch from the armed
-   context:
+   Whether N >= 2 lanes may share one pass is decided per batch from the
+   armed context ([vector_eligible]):
 
    - a residue that reads a volatile attribute ([calls_so_far]) has a
      lane-order data dependency — lane k's value depends on earlier
-     lanes' overall verdicts — so it stays slot-major;
+     lanes' overall verdicts — so it stays one lane at a time;
    - clock-dependent arms ([Rate_limit], [Time_window]) are excluded
      because arm-major charge reordering shifts [now_us] at evaluation
-     relative to the slot-major path;
-   - unplanned arms ([FC_slow]) have no residue to vectorize.
+     relative to slot-by-slot evaluation;
+   - unplanned arms ([FC_slow]) have no residue to run.
 
-   An ineligible tree simply keeps the fused slot-major path — the
-   dispatcher falls back wholesale, never per arm. *)
+   An ineligible tree is evaluated one lane per slot — the dispatcher
+   falls back wholesale, never per arm. *)
 
 type vector_lane = { vl_origin : Fuse.origin; vl_attrs : (string * string) list }
 
@@ -393,7 +354,7 @@ let rec vector_eligible = function
   | FC_deny _ -> true
   | FC_all (cs, _) -> List.for_all vector_eligible cs
 
-let check_vector ~clock ~now_us ~credential ~width ~(lanes : vector_lane array) ctx state =
+let check_vector ~clock ~now_us ~credential ~(lanes : vector_lane array) ctx state =
   let n = Array.length lanes in
   let alive = Array.make n true in
   let results : (unit, denial) result array = Array.make n (Ok ()) in
@@ -413,7 +374,7 @@ let check_vector ~clock ~now_us ~credential ~width ~(lanes : vector_lane array) 
               | Error d -> kill k d)
           lanes
     | FC_slow c, s ->
-        (* Unreachable under [vector_eligible], but stay total. *)
+        (* Unplanned arm: per-lane compiled execution. *)
         Array.iteri
           (fun k lane ->
             if alive.(k) then
@@ -426,7 +387,7 @@ let check_vector ~clock ~now_us ~credential ~width ~(lanes : vector_lane array) 
     | FC_deny { reason; policy }, _ ->
         let l = live () in
         if l > 0 then begin
-          Clock.charge_n clock Cost.Policy_vector_op ((l + width - 1) / width);
+          Clock.charge_n clock Cost.Policy_vector_op ((l + Vexec.width - 1) / Vexec.width);
           for k = 0 to n - 1 do
             if alive.(k) then kill k { reason; policy }
           done
@@ -449,7 +410,7 @@ let check_vector ~clock ~now_us ~credential ~width ~(lanes : vector_lane array) 
                 Vexec.{ l_origin = l.vl_origin; l_attrs = l.vl_attrs @ static_attrs })
               packed
           in
-          let res = Vexec.run_residue plan snapshot ~width ~lanes:vlanes in
+          let res = Vexec.run_residue plan snapshot ~lanes:vlanes in
           Clock.charge_n clock Cost.Policy_vector_op res.Vexec.vr_units;
           Array.iteri
             (fun j k ->
@@ -483,7 +444,7 @@ let check_vector ~clock ~now_us ~credential ~width ~(lanes : vector_lane array) 
         done
   in
   arm ctx state;
-  (* Metrics parity with the slot-major paths: one check per lane, one
+  (* Metrics parity with the other engines: one check per lane, one
      denial per denied lane. *)
   Smod_metrics.Counter.add m_policy_checks n;
   Array.iter

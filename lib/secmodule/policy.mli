@@ -109,57 +109,44 @@ val begin_fused :
     {!Smod_sim.Cost_model.Policy_compiled_op} per prefix opcode.  [attrs]
     are the batch-invariant attributes (module, phase, origin pairs). *)
 
-val check_fused :
-  clock:Smod_sim.Clock.t ->
-  now_us:float ->
-  credential:Credential.t ->
-  origin:Smod_keynote.Fuse.origin ->
-  attrs:(string * string) list ->
-  fused_ctx ->
-  state ->
-  (unit, denial) result
-(** The per-slot residue check: same verdicts over the same [state] as
-    {!check_compiled} and {!check} (asserted by the fused differential
-    suite in test/test_compile.ml), but fused KeyNote arms charge only
-    residue opcodes.  Stateful arms (quotas, rate limits) still evaluate
-    per slot — batching never changes when a counter moves. *)
-
 type vector_lane = {
   vl_origin : Smod_keynote.Fuse.origin;
   vl_attrs : (string * string) list;
       (** the lane's full per-slot attribute list, function and origin
-          pairs included — exactly what the slot-major path would pass *)
+          pairs included *)
 }
 
 val vector_eligible : fused_ctx -> bool
-(** True when the armed tree can be evaluated batch-major with verdicts,
-    state transitions, and total charge order all matching the
-    slot-major path: every KeyNote arm is planned and its residue reads
-    no volatile attribute (a [calls_so_far] read makes lane k's input
-    depend on earlier lanes' verdicts), and no arm is clock-dependent
-    ([Rate_limit]/[Time_window] — arm-major evaluation would shift
-    [now_us] at their evaluation points).  Quota arms are fine: the
-    alive-mask discipline reproduces their counter order exactly. *)
+(** True when N >= 2 lanes of the armed tree can share one batch-major
+    pass with verdicts, state transitions, and total charge order all
+    matching one-lane-per-slot evaluation: every KeyNote arm is planned
+    and its residue reads no volatile attribute (a [calls_so_far] read
+    makes lane k's input depend on earlier lanes' verdicts), and no arm
+    is clock-dependent ([Rate_limit]/[Time_window] — arm-major evaluation
+    would shift [now_us] at their evaluation points).  Quota arms are
+    fine: the alive-mask discipline reproduces their counter order
+    exactly.  A single lane is always eligible. *)
 
 val check_vector :
   clock:Smod_sim.Clock.t ->
   now_us:float ->
   credential:Credential.t ->
-  width:int ->
   lanes:vector_lane array ->
   fused_ctx ->
   state ->
   (unit, denial) result array
-(** Evaluate one whole batch arm-major (E25): each arm of the fused tree
-    runs over all still-alive lanes before the next arm, KeyNote arms
-    batch-major through {!Smod_keynote.Vexec} (charging
-    {!Smod_sim.Cost_model.Policy_vector_op} per [ceil(live/width)]-unit
+(** The fused check, over one lane (a scalar call or one slot) or a
+    whole batch.  Evaluates arm-major: each arm of the fused tree runs
+    over all still-alive lanes before the next arm, KeyNote arms through
+    the lane executor {!Smod_keynote.Vexec} (charging
+    {!Smod_sim.Cost_model.Policy_vector_op} per [ceil(live/W)]-unit
     pass, compacted as lanes are denied), stateful quota arms per lane
-    in lane order.  Returns one verdict per lane, positionally: the same
-    verdict, against the same [state], that [check_fused] would return
-    slot-major — asserted by the four-way differential in
-    test/test_compile.ml.  The caller is responsible for only invoking
-    this on {!vector_eligible} trees (it stays total regardless). *)
+    in lane order.  Returns one verdict per lane, positionally; on a
+    {!vector_eligible} tree that is the verdict, against the same
+    [state], that one-lane calls in lane order would return — and at
+    N = 1 the same verdict as {!check_compiled} and {!check} — asserted
+    by the differential in test/test_compile.ml.  Stays total on
+    ineligible trees. *)
 
 type compiled_stats = {
   programs : int;  (** KeyNote arms compiled to decision programs *)

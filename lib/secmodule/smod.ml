@@ -13,7 +13,6 @@ module Trace = Smod_sim.Trace
 module Smof = Smod_modfmt.Smof
 module Keystore = Smod_keynote.Keystore
 module Fuse = Smod_keynote.Fuse
-module Vexec = Smod_keynote.Vexec
 module KCompile = Smod_keynote.Compile
 module Interp = Smod_svm.Interp
 module Ring = Smod_ring.Ring
@@ -167,8 +166,6 @@ type t = {
   mutable remove_hooks : (m_id:int -> unit) list;
   mutable compile_policies : bool;
   mutable fuse_policies : bool;
-  mutable vectorize_policies : bool;
-  mutable vector_width : int;
   mutable dispatch_gate : (unit -> unit) option;
   mutable spin_budget : int;
   mutable poller : poller option;
@@ -252,14 +249,6 @@ let policy_compile_enabled t = t.compile_policies
 
 let set_policy_fuse t b = t.fuse_policies <- b
 let policy_fuse_enabled t = t.fuse_policies
-let set_policy_vectorize t b = t.vectorize_policies <- b
-let policy_vectorize_enabled t = t.vectorize_policies
-
-let set_vector_width t w =
-  if w < 1 then invalid_arg "Smod.set_vector_width: width < 1";
-  t.vector_width <- w
-
-let vector_width t = t.vector_width
 let toctou_mitigation t = t.toctou
 
 (* Where module images land inside the handle's address space: text below
@@ -704,28 +693,8 @@ let read_descriptor clock (p : Proc.t) desc_addr =
   | Ok d -> d
   | Error m -> Errno.raise_errno Errno.EINVAL ("smod_start_session: " ^ m)
 
-let check_policy_or_deny t ~policy ~state ~credential ~attrs =
-  let clock = Machine.clock t.machine in
-  match
-    Policy.check ~clock ~now_us:(Clock.now_us clock) ~credential ~attrs policy state
-  with
-  | Ok () -> ()
-  | Error denial ->
-      Errno.raise_errno Errno.EACCES
-        (Printf.sprintf "policy %s: %s" (Policy.describe denial.Policy.policy)
-           denial.Policy.reason)
-
-let check_compiled_or_deny t ~compiled ~state ~credential ~attrs =
-  let clock = Machine.clock t.machine in
-  match
-    Policy.check_compiled ~clock ~now_us:(Clock.now_us clock) ~credential ~attrs compiled
-      state
-  with
-  | Ok () -> ()
-  | Error denial ->
-      Errno.raise_errno Errno.EACCES
-        (Printf.sprintf "policy %s: %s" (Policy.describe denial.Policy.policy)
-           denial.Policy.reason)
+let denial_message (d : Policy.denial) =
+  Printf.sprintf "policy %s: %s" (Policy.describe d.Policy.policy) d.Policy.reason
 
 let session_cred_digest session =
   match session.cred_digest with
@@ -834,18 +803,6 @@ let origin_attr_pairs (origin : Fuse.origin) =
     ("origin_transport", origin.Fuse.o_transport);
   ]
 
-let check_fused_or_deny t ~ctx ~origin ~state ~credential ~attrs =
-  let clock = Machine.clock t.machine in
-  match
-    Policy.check_fused ~clock ~now_us:(Clock.now_us clock) ~credential ~origin ~attrs ctx
-      state
-  with
-  | Ok () -> ()
-  | Error denial ->
-      Errno.raise_errno Errno.EACCES
-        (Printf.sprintf "policy %s: %s" (Policy.describe denial.Policy.policy)
-           denial.Policy.reason)
-
 (* The session's armed fused context for one transport, or [None] when
    fusion is off or nothing in the compiled tree carries a plan.  The
    snapshot survives across batches and scalar calls under the same
@@ -876,6 +833,114 @@ let fused_of t session ~transport =
             in
             session.fused_memo <- Some (rev, gen, transport, ctx);
             Some ctx)
+
+(* ------------------------------------------------------------------ *)
+(* Admission: one policy cascade for every transport                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The §5 future-work fast path skips the re-verification only when the
+   policy is stateless-permissive: its answer cannot change after
+   session establishment. *)
+let fast_path_applies t session =
+  t.fast_path
+  &&
+  match session.entry.Registry.policy with
+  | Policy.Always_allow | Policy.Session_lifetime -> true
+  | Policy.Call_quota _ | Policy.Rate_limit _ | Policy.Time_window _ | Policy.Keynote _
+  | Policy.All_of _ ->
+      false
+
+(* smodd's policy-decision cache: only consulted when the decision is a
+   pure function of (credential, module, function, policy revision) —
+   stateful or per-call-attribute policies always re-evaluate. *)
+let decision_cache t session =
+  match t.policy_cache with
+  | Some _ as cache
+    when Policy.cacheable session.entry.Registry.policy
+         && Policy.credential_cacheable session.credential ->
+      cache
+  | Some _ | None -> None
+
+let call_attrs session ~origin ~func_name =
+  [
+    ("phase", "call");
+    ("function", func_name);
+    ("module", session.entry.Registry.image.Smof.mod_name);
+    ("calls_so_far", string_of_int session.calls);
+  ]
+  @ origin_attr_pairs origin
+
+(* One call's admission decision, shared by [sys_call], the batch trap
+   and the kernel poller: smodd's decision cache, then the engine — the
+   lane executor at one lane when the session has an armed fused context,
+   else the compiled program, else the interpreter with per-call
+   credential revalidation (§3.1).  The batch paths resolve the fused
+   context once, before their slot loop, and pass it [~armed:true]; the
+   msgq path passes [~armed:false] and it is resolved here, after the
+   cache lookup.  Either way the clock sees its charges in the order it
+   always has. *)
+let admit t session ~transport ~origin ~armed ~fused ~cache ~func_name =
+  match
+    match cache with Some hooks -> hooks.cache_lookup session ~func_name | None -> None
+  with
+  | Some d -> d
+  | None ->
+      let clock = Machine.clock t.machine in
+      let attrs = call_attrs session ~origin ~func_name in
+      let fused = if armed then fused else fused_of t session ~transport in
+      let credential = session.credential and state = session.policy_state in
+      let verdict =
+        match fused with
+        | Some ctx ->
+            (Policy.check_vector ~clock ~now_us:(Clock.now_us clock) ~credential
+               ~lanes:[| { Policy.vl_origin = origin; vl_attrs = attrs } |]
+               ctx state).(0)
+        | None -> (
+            match policy_of t session with
+            | Some compiled ->
+                (* The credential chain was verified when the program was
+                   compiled, so no per-call Cred_check. *)
+                Policy.check_compiled ~clock ~now_us:(Clock.now_us clock) ~credential ~attrs
+                  compiled state
+            | None ->
+                Clock.charge clock Cost.Cred_check;
+                Policy.check ~clock ~now_us:(Clock.now_us clock) ~credential ~attrs
+                  session.entry.Registry.policy state)
+      in
+      let d =
+        match verdict with Ok () -> Cache_allow | Error d -> Cache_deny (denial_message d)
+      in
+      (match cache with Some hooks -> hooks.cache_store session ~func_name d | None -> ());
+      d
+
+(* The admission decider for one batch: evaluates policy once per
+   distinct (credential, func) for cacheable policies — the per-batch
+   amortization of the policy cost.  Stateful policies (quota, rate,
+   time-window, volatile Keynote) are evaluated per slot so their
+   ordering semantics match the per-call path.  Shared by the batch trap
+   and the kernel poller; the memo is fresh per call, so each sweep/batch
+   amortizes within itself only. *)
+let batch_decider t session ~transport =
+  let origin = origin_of t session ~transport in
+  let fused = fused_of t session ~transport in
+  let fast = fast_path_applies t session in
+  let policy_cacheable = Policy.cacheable session.entry.Registry.policy in
+  let cache = decision_cache t session in
+  let memo : (int, cached_decision) Hashtbl.t = Hashtbl.create 4 in
+  fun func_id ->
+    match Registry.symbol_of_func_id session.entry func_id with
+    | None -> Cache_deny "no such function"
+    | Some _ when fast -> Cache_allow
+    | Some sym -> (
+        match if policy_cacheable then Hashtbl.find_opt memo func_id else None with
+        | Some d -> d
+        | None ->
+            let d =
+              admit t session ~transport ~origin ~armed:true ~fused ~cache
+                ~func_name:sym.Smof.sym_name
+            in
+            if policy_cacheable then Hashtbl.replace memo func_id d;
+            d)
 
 let install_module_image t session_text_base session_data_base handle_aspace entry =
   let clock = Machine.clock t.machine in
@@ -1004,6 +1069,43 @@ let retire_pooled_handle t ph =
     | Some _ | None -> ()
   end
 
+let fresh_sid t =
+  let sid = t.next_sid in
+  t.next_sid <- t.next_sid + 1;
+  sid
+
+(* A new, not yet established session.  The three attach paths (cold
+   fork, pooled handle, mux fiber) differ only in its handle, queues and
+   kind. *)
+let new_session ~sid ~entry ~client_pid ~handle_pid ~req_qid ~rep_qid ~credential ~pooled
+    ~mux =
+  {
+    sid;
+    m_id = entry.Registry.m_id;
+    entry;
+    client_pid;
+    handle_pid;
+    req_qid;
+    rep_qid;
+    credential;
+    policy_state = Policy.initial_state entry.Registry.policy;
+    module_text_base = module_text_base_addr;
+    module_data_base = module_data_base_addr;
+    established = false;
+    detached = false;
+    calls = 0;
+    denied_calls = 0;
+    faulted_calls = 0;
+    handle_exec_us = 0.0;
+    client_waiting_handshake = false;
+    pooled;
+    mux;
+    ring = None;
+    cred_digest = None;
+    compiled_memo = None;
+    fused_memo = None;
+  }
+
 (* Attach a new client session to a parked (or freshly spawned) pooled
    handle: the cheap path that replaces the cold fork. *)
 let attach_pooled t (p : Proc.t) ph ~credential =
@@ -1013,35 +1115,10 @@ let attach_pooled t (p : Proc.t) ph ~credential =
     Errno.raise_errno Errno.EEXIST "smod_start_session: client already has a session";
   let clock = Machine.clock t.machine in
   let entry = ph.ph_entry in
-  let sid = t.next_sid in
-  t.next_sid <- t.next_sid + 1;
+  let sid = fresh_sid t in
   let session =
-    {
-      sid;
-      m_id = entry.Registry.m_id;
-      entry;
-      client_pid = p.Proc.pid;
-      handle_pid = ph.ph_pid;
-      req_qid = ph.ph_req_qid;
-      rep_qid = ph.ph_rep_qid;
-      credential;
-      policy_state = Policy.initial_state entry.Registry.policy;
-      module_text_base = module_text_base_addr;
-      module_data_base = module_data_base_addr;
-      established = false;
-      detached = false;
-      calls = 0;
-      denied_calls = 0;
-      faulted_calls = 0;
-      handle_exec_us = 0.0;
-      client_waiting_handshake = false;
-      pooled = true;
-      mux = false;
-      ring = None;
-      cred_digest = None;
-      compiled_memo = None;
-      fused_memo = None;
-    }
+    new_session ~sid ~entry ~client_pid:p.Proc.pid ~handle_pid:ph.ph_pid
+      ~req_qid:ph.ph_req_qid ~rep_qid:ph.ph_rep_qid ~credential ~pooled:true ~mux:false
   in
   ph.ph_session <- Some session;
   ph.ph_reserved <- false;
@@ -1083,38 +1160,13 @@ let cold_start_session t (p : Proc.t) entry credential =
     ~prot:Prot.rw ~kind:Aspace.Secret ~name:"secret";
   Aspace.write_word handle_aspace ~addr:client_pid_cache_addr p.Proc.pid;
   (* Message queues for the pair. *)
-  let sid = t.next_sid in
-  t.next_sid <- t.next_sid + 1;
+  let sid = fresh_sid t in
   let req_qid = Machine.msgget t.machine p ~key:(0x5E550000 lor (sid * 2)) in
   let rep_qid = Machine.msgget t.machine p ~key:(0x5E550000 lor ((sid * 2) + 1)) in
   (* Forcibly fork the handle. *)
   let session =
-    {
-      sid;
-      m_id = entry.Registry.m_id;
-      entry;
-      client_pid = p.Proc.pid;
-      handle_pid = 0;
-      req_qid;
-      rep_qid;
-      credential;
-      policy_state = Policy.initial_state entry.Registry.policy;
-      module_text_base = module_text_base_addr;
-      module_data_base = module_data_base_addr;
-      established = false;
-      detached = false;
-      calls = 0;
-      denied_calls = 0;
-      faulted_calls = 0;
-      handle_exec_us = 0.0;
-      client_waiting_handshake = false;
-      pooled = false;
-      mux = false;
-      ring = None;
-      cred_digest = None;
-      compiled_memo = None;
-      fused_memo = None;
-    }
+    new_session ~sid ~entry ~client_pid:p.Proc.pid ~handle_pid:0 ~req_qid ~rep_qid
+      ~credential ~pooled:false ~mux:false
   in
   let handle =
     Machine.forced_fork t.machine p
@@ -1309,8 +1361,7 @@ let mux_attach t (p : Proc.t) entry credential =
   if Hashtbl.mem t.sessions_by_client p.Proc.pid then
     Errno.raise_errno Errno.EEXIST "smod_start_session: client already has a session";
   let clock = Machine.clock t.machine in
-  let sid = t.next_sid in
-  t.next_sid <- t.next_sid + 1;
+  let sid = fresh_sid t in
   let ms_aspace =
     Aspace.create ~phys:(Machine.phys t.machine) ~clock
       ~name:(Printf.sprintf "mux-handle-%d" sid)
@@ -1320,35 +1371,11 @@ let mux_attach t (p : Proc.t) entry credential =
     ~size:(Layout.secret_pages * Layout.page_size)
     ~prot:Prot.rw ~kind:Aspace.Secret ~name:"secret";
   Aspace.write_word ms_aspace ~addr:client_pid_cache_addr p.Proc.pid;
+  (* Ring-only: no queue pair exists, so a scalar smod_call (which needs
+     one) is refused in sys_call rather than left to hang. *)
   let session =
-    {
-      sid;
-      m_id = entry.Registry.m_id;
-      entry;
-      client_pid = p.Proc.pid;
-      handle_pid = mx.mx_pid;
-      (* Ring-only: no queue pair exists, so a scalar smod_call (which
-         needs one) is refused in sys_call rather than left to hang. *)
-      req_qid = 0;
-      rep_qid = 0;
-      credential;
-      policy_state = Policy.initial_state entry.Registry.policy;
-      module_text_base = module_text_base_addr;
-      module_data_base = module_data_base_addr;
-      established = false;
-      detached = false;
-      calls = 0;
-      denied_calls = 0;
-      faulted_calls = 0;
-      handle_exec_us = 0.0;
-      client_waiting_handshake = false;
-      pooled = false;
-      mux = true;
-      ring = None;
-      cred_digest = None;
-      compiled_memo = None;
-      fused_memo = None;
-    }
+    new_session ~sid ~entry ~client_pid:p.Proc.pid ~handle_pid:mx.mx_pid ~req_qid:0
+      ~rep_qid:0 ~credential ~pooled:false ~mux:true
   in
   (* The handshake happens inline: there is one mux proc for all fibers,
      so the per-session force-share cannot wait for a handle-side
@@ -1439,17 +1466,21 @@ let sys_start_session t (p : Proc.t) ~desc_addr =
     Errno.raise_errno Errno.EACCES "credential signature verification failed";
   (* Establishment-time policy check (throwaway state: establishing a
      session must not consume per-call quota). *)
-  check_policy_or_deny t ~policy:entry.Registry.policy
-    ~state:(Policy.initial_state entry.Registry.policy)
-    ~credential
-    ~attrs:
-      ([
-         ("phase", "session");
-         ("module", entry.Registry.image.Smof.mod_name);
-         ("principal", credential.Credential.principal);
-       ]
-      @ origin_attr_pairs
-          (origin_of_client t ~client_pid:p.Proc.pid ~transport:"attach"));
+  (match
+     Policy.check ~clock ~now_us:(Clock.now_us clock) ~credential
+       ~attrs:
+         ([
+            ("phase", "session");
+            ("module", entry.Registry.image.Smof.mod_name);
+            ("principal", credential.Credential.principal);
+          ]
+         @ origin_attr_pairs
+             (origin_of_client t ~client_pid:p.Proc.pid ~transport:"attach"))
+       entry.Registry.policy
+       (Policy.initial_state entry.Registry.policy)
+   with
+  | Ok () -> ()
+  | Error d -> Errno.raise_errno Errno.EACCES (denial_message d));
   (* §4.1 approach 2: if the client had a plain image of this library
      mapped, forcibly unmap it and deny later re-mapping. *)
   List.iter
@@ -1583,101 +1614,27 @@ let sys_call t (p : Proc.t) ~framep ~rtnaddr ~m_id ~func_id =
       detach_session t session;
       Errno.raise_errno Errno.EIDRM "smod_call: handle process is gone");
   if session.m_id <> m_id then Errno.raise_errno Errno.EINVAL "smod_call: wrong module id";
-  (* The §5 future-work fast path skips the re-verification only when the
-     policy is stateless-permissive: its answer cannot change after
-     session establishment. *)
-  let fast_path_applies =
-    t.fast_path
-    &&
-    match session.entry.Registry.policy with
-    | Policy.Always_allow | Policy.Session_lifetime -> true
-    | Policy.Call_quota _ | Policy.Rate_limit _ | Policy.Time_window _ | Policy.Keynote _
-    | Policy.All_of _ ->
-        false
+  let func_name =
+    match Registry.symbol_of_func_id session.entry func_id with
+    | Some sym -> sym.Smof.sym_name
+    | None -> Errno.raise_errno Errno.EINVAL "smod_call: bad funcID"
   in
-  if not fast_path_applies then begin
-    let func_name =
-      match Registry.symbol_of_func_id session.entry func_id with
-      | Some sym -> sym.Smof.sym_name
-      | None -> Errno.raise_errno Errno.EINVAL "smod_call: bad funcID"
-    in
-    (* smodd's policy-decision cache: only consulted when the decision is
-       a pure function of (credential, module, function, policy revision)
-       — stateful or per-call-attribute policies always re-evaluate. *)
-    let cache =
-      match t.policy_cache with
-      | Some hooks
-        when Policy.cacheable session.entry.Registry.policy
-             && Policy.credential_cacheable session.credential ->
-          Some hooks
-      | Some _ | None -> None
-    in
-    let cached =
-      match cache with Some hooks -> hooks.cache_lookup session ~func_name | None -> None
-    in
-    match cached with
-    | Some Cache_allow -> ()
-    | Some (Cache_deny reason) ->
+  let mod_name = session.entry.Registry.image.Smof.mod_name in
+  if not (fast_path_applies t session) then begin
+    match
+      admit t session ~transport:"msgq" ~origin:(origin_of t session ~transport:"msgq")
+        ~armed:false ~fused:None ~cache:(decision_cache t session) ~func_name
+    with
+    | Cache_allow -> ()
+    | Cache_deny reason ->
         session.denied_calls <- session.denied_calls + 1;
         Smod_metrics.Counter.incr m_calls_denied;
-        count_func ~denied:true
-          ~mod_name:session.entry.Registry.image.Smof.mod_name ~func_name;
+        count_func ~denied:true ~mod_name ~func_name;
         Errno.raise_errno Errno.EACCES reason
-    | None -> (
-        let origin = origin_of t session ~transport:"msgq" in
-        let attrs =
-          [
-            ("phase", "call");
-            ("function", func_name);
-            ("module", session.entry.Registry.image.Smof.mod_name);
-            ("calls_so_far", string_of_int session.calls);
-          ]
-          @ origin_attr_pairs origin
-        in
-        try
-          (match fused_of t session ~transport:"msgq" with
-          | Some ctx ->
-              (* Fused path: the invariant prefix was charged when the
-                 snapshot was armed (and is reused until invalidation);
-                 this call pays residue opcodes only. *)
-              check_fused_or_deny t ~ctx ~origin ~state:session.policy_state
-                ~credential:session.credential ~attrs
-          | None -> (
-              match policy_of t session with
-              | Some compiled ->
-                  (* Compiled path: the credential chain was verified when the
-                     program was compiled, so no per-call Cred_check. *)
-                  check_compiled_or_deny t ~compiled ~state:session.policy_state
-                    ~credential:session.credential ~attrs
-              | None ->
-                  (* Per-call revalidation: the kernel "will then verify that p
-                     did provide the proper credentials" (§3.1). *)
-                  Clock.charge clock Cost.Cred_check;
-                  check_policy_or_deny t ~policy:session.entry.Registry.policy
-                    ~state:session.policy_state ~credential:session.credential ~attrs));
-          match cache with
-          | Some hooks -> hooks.cache_store session ~func_name Cache_allow
-          | None -> ()
-        with Errno.Error (errno, msg) as denial ->
-          (match cache with
-          | Some hooks when errno = Errno.EACCES ->
-              hooks.cache_store session ~func_name (Cache_deny msg)
-          | Some _ | None -> ());
-          session.denied_calls <- session.denied_calls + 1;
-          Smod_metrics.Counter.incr m_calls_denied;
-          count_func ~denied:true
-            ~mod_name:session.entry.Registry.image.Smof.mod_name ~func_name;
-          raise denial)
-  end
-  else if Registry.symbol_of_func_id session.entry func_id = None then
-    Errno.raise_errno Errno.EINVAL "smod_call: bad funcID";
+  end;
   session.calls <- session.calls + 1;
   Smod_metrics.Counter.incr m_calls;
-  (match Registry.symbol_of_func_id session.entry func_id with
-  | Some sym ->
-      count_func ~denied:false ~mod_name:session.entry.Registry.image.Smof.mod_name
-        ~func_name:sym.Smof.sym_name
-  | None -> ());
+  count_func ~denied:false ~mod_name ~func_name;
   let mitigation = apply_call_mitigation t p in
   let request =
     {
@@ -1712,22 +1669,27 @@ let sys_call t (p : Proc.t) ~framep ~rtnaddr ~m_id ~func_id =
 (* sys_smod_call_batch (322) — the dispatch-ring fast path             *)
 (* ------------------------------------------------------------------ *)
 
-(* Bind the session to the client's registered ring on the first batch
-   trap after syscall 321.  The kernel attaches its own view over the
-   client's pages; the two wait queues are created here and live for the
-   session. *)
-let bind_session_ring t (p : Proc.t) session =
+(* Bind the session to its client's registered ring (syscall 321) the
+   first time the batch trap or the kernel poller finds it.  The kernel
+   attaches its own view over the client's pages, looked up from the
+   proc table, never from a trap frame; the two wait queues are created
+   here and live for the session.  [Error `Geometry]: the header's nslots
+   word no longer matches the registration pinned at setup — tampering,
+   not a bigger ring, which of_registration rejects.  The traps turn each
+   error into EINVAL ([bind_session_ring]); the poller skips the session
+   and counts geometry rejects, since there is no client trap to fail. *)
+let bind_ring t ~(sender : Proc.t) session =
   match session.ring with
-  | Some rs -> rs
+  | Some rs -> Ok rs
   | None -> (
-      match Machine.ring_registration t.machine ~pid:p.Proc.pid with
-      | None -> Errno.raise_errno Errno.EINVAL "smod_call_batch: no ring registered"
-      | Some (base, nslots) -> (
-          (* Geometry comes from the registration pinned at setup; a
-             header nslots word rewritten since then is tampering, not a
-             bigger ring — of_registration rejects the mismatch. *)
-          match Ring.of_registration p.Proc.aspace ~base ~nslots with
-          | None -> Errno.raise_errno Errno.EINVAL "smod_call_batch: ring header corrupt"
+      match
+        ( Machine.ring_registration t.machine ~pid:session.client_pid,
+          Machine.proc t.machine session.client_pid )
+      with
+      | None, _ | _, None -> Error `Unbound
+      | Some (base, nslots), Some client -> (
+          match Ring.of_registration client.Proc.aspace ~base ~nslots with
+          | None -> Error `Geometry
           | Some ring ->
               let rs =
                 {
@@ -1740,246 +1702,119 @@ let bind_session_ring t (p : Proc.t) session =
               session.ring <- Some rs;
               (* The handle may be parked in a legacy blocking msgrcv from
                  before the ring existed; a zero-byte doorbell bounces it
-                 into the ring-aware serve loop. *)
+                 into the ring-aware serve loop.  Mux sessions have no
+                 queue — the msgsnd fails harmlessly. *)
               (try
-                 Machine.msgsnd t.machine p ~qid:session.req_qid ~mtype:ring_doorbell_mtype
-                   (Bytes.create 0)
+                 Machine.msgsnd t.machine sender ~qid:session.req_qid
+                   ~mtype:ring_doorbell_mtype (Bytes.create 0)
                with Errno.Error _ -> ());
-              rs))
+              Ok rs))
 
-(* The admission decider for one batch: evaluates policy once per
-   distinct (credential, func) for cacheable policies — the per-batch
-   amortization of the policy cost.  Stateful policies (quota, rate,
-   time-window, volatile Keynote) are forced through a per-slot
-   evaluation so their ordering semantics match the per-call path.
-   Shared by the batch trap and the kernel poller; the memo is fresh per
-   call, so each sweep/batch amortizes within itself only — exactly the
-   historical per-trap behaviour. *)
-let batch_decider t session ~transport =
-  let clock = Machine.clock t.machine in
-  (* Origin and (when fusion is on) the armed snapshot are batch-invariant:
-     resolve both once per decider, not per slot. *)
-  let origin = origin_of t session ~transport in
-  let fused = fused_of t session ~transport in
-  let fast_path_applies =
-    t.fast_path
-    &&
-    match session.entry.Registry.policy with
-    | Policy.Always_allow | Policy.Session_lifetime -> true
-    | Policy.Call_quota _ | Policy.Rate_limit _ | Policy.Time_window _ | Policy.Keynote _
-    | Policy.All_of _ ->
-        false
-  in
-  let policy_cacheable = Policy.cacheable session.entry.Registry.policy in
-  let cache =
-    match t.policy_cache with
-    | Some hooks when policy_cacheable && Policy.credential_cacheable session.credential ->
-        Some hooks
-    | Some _ | None -> None
-  in
-  let memo : (int, cached_decision) Hashtbl.t = Hashtbl.create 4 in
-  fun func_id ->
-    match Registry.symbol_of_func_id session.entry func_id with
-    | None -> Cache_deny "no such function"
-    | Some _ when fast_path_applies -> Cache_allow
-    | Some sym -> (
-        let func_name = sym.Smof.sym_name in
-        let memoized =
-          if policy_cacheable then Hashtbl.find_opt memo func_id else None
-        in
-        match memoized with
-        | Some d -> d
-        | None ->
-            let d =
-              match
-                match cache with
-                | Some hooks -> hooks.cache_lookup session ~func_name
-                | None -> None
-              with
-              | Some d -> d
-              | None -> (
-                  let attrs =
-                    [
-                      ("phase", "call");
-                      ("function", func_name);
-                      ("module", session.entry.Registry.image.Smof.mod_name);
-                      ("calls_so_far", string_of_int session.calls);
-                    ]
-                    @ origin_attr_pairs origin
-                  in
-                  try
-                    (match fused with
-                    | Some ctx ->
-                        (* Fused path: per-slot residue only; the prefix was
-                           charged once when the snapshot was armed. *)
-                        check_fused_or_deny t ~ctx ~origin
-                          ~state:session.policy_state
-                          ~credential:session.credential ~attrs
-                    | None -> (
-                        match policy_of t session with
-                        | Some compiled ->
-                            (* Compiled path: chain verification was hoisted to
-                               compile time — no per-slot Cred_check. *)
-                            check_compiled_or_deny t ~compiled
-                              ~state:session.policy_state
-                              ~credential:session.credential ~attrs
-                        | None ->
-                            Clock.charge clock Cost.Cred_check;
-                            check_policy_or_deny t
-                              ~policy:session.entry.Registry.policy
-                              ~state:session.policy_state
-                              ~credential:session.credential ~attrs));
-                    (match cache with
-                    | Some hooks -> hooks.cache_store session ~func_name Cache_allow
-                    | None -> ());
-                    Cache_allow
-                  with Errno.Error (errno, msg) ->
-                    (match cache with
-                    | Some hooks when errno = Errno.EACCES ->
-                        hooks.cache_store session ~func_name (Cache_deny msg)
-                    | Some _ | None -> ());
-                    Cache_deny msg)
-            in
-            if policy_cacheable then Hashtbl.replace memo func_id d;
-            d)
+let bind_session_ring t (p : Proc.t) session =
+  match bind_ring t ~sender:p session with
+  | Ok rs -> rs
+  | Error `Unbound -> Errno.raise_errno Errno.EINVAL "smod_call_batch: no ring registered"
+  | Error `Geometry -> Errno.raise_errno Errno.EINVAL "smod_call_batch: ring header corrupt"
 
-(* E25 batch-major pre-pass: when vectorization is on and the session's
-   armed fused context is vector-eligible, the whole batch's verdicts are
-   computed lane-major — SoA columns gathered from the kernel's own read
-   of each submitted slot, one vector pass per residue opcode — before
-   the stamp loop consumes them positionally.  Returns a seq-indexed
-   lookup; [fun _ -> None] (the slot-major decider runs as usual) when
-   the batch cannot benefit or cannot be proven equivalent:
+(* Batch-major pre-pass (E25): when the session's armed fused context is
+   {!Policy.vector_eligible}, the whole batch's verdicts are computed in
+   one lane-executor run — SoA columns gathered from the kernel's own
+   read of each submitted slot, one pass per residue opcode — before the
+   stamp loop consumes them positionally.  Returns a seq-indexed lookup;
+   [fun _ -> None] (the decider runs slot by slot) when the batch cannot
+   benefit or cannot be proven equivalent:
 
-   - fewer than two evaluable lanes (honest scalar fallback at N=1);
+   - fewer than two evaluable lanes (one lane is the slot-by-slot path);
    - the stateless fast path or the smodd decision cache already reduces
-     the batch to cheaper-than-vector work;
-   - the tree is not {!Policy.vector_eligible} (volatile residue reads,
+     the batch to cheaper work;
+   - no armed fused context (compile or fuse off, nothing planned), or a
+     tree that is not {!Policy.vector_eligible} (volatile residue reads,
      clock-dependent arms, unplanned arms);
    - a cacheable policy's batch has fewer than two distinct functions —
-     the decider's per-batch memo already evaluates once per function,
-     so vectorizing a single-function batch would be a regression.
+     the decider's per-batch memo already evaluates once per function.
 
    For cacheable policies lanes are deduplicated by function and the
    verdicts broadcast, matching the decider's memo exactly (same
    evaluation count, same state: cacheable policies have none). *)
 let vector_prestamp t session ring ~transport ~stamped0 ~limit =
   let no_pre = fun (_ : int) -> None in
-  if not (t.vectorize_policies && t.compile_policies && t.fuse_policies) then no_pre
-  else if limit - stamped0 < 2 then no_pre
-  else if
-    t.fast_path
-    &&
-    match session.entry.Registry.policy with
-    | Policy.Always_allow | Policy.Session_lifetime -> true
-    | _ -> false
+  if
+    limit - stamped0 < 2
+    || fast_path_applies t session
+    || Option.is_some (decision_cache t session)
   then no_pre
-  else begin
-    let policy_cacheable = Policy.cacheable session.entry.Registry.policy in
-    let smodd_cache_active =
-      t.policy_cache <> None && policy_cacheable
-      && Policy.credential_cacheable session.credential
-    in
-    if smodd_cache_active then no_pre
-    else
-      match fused_of t session ~transport with
-      | None -> no_pre
-      | Some ctx when not (Policy.vector_eligible ctx) -> no_pre
-      | Some ctx -> (
-          let origin = origin_of t session ~transport in
-          let opairs = origin_attr_pairs origin in
-          let mod_name = session.entry.Registry.image.Smof.mod_name in
-          let calls0 = string_of_int session.calls in
-          (* Gather the function column.  Slots that fail the structural
-             checks (torn write, wrong m_id, unknown function) are left
-             to the stamp loop, which denies them before any policy
-             evaluation — exactly the slot-major order, and the
-             lane-divergence ladder's "deny early" case. *)
-          let slots = ref [] in
-          for seq = limit - 1 downto stamped0 do
-            match Ring.submitted_info ring ~seq with
-            | Some (slot_m_id, func_id) when slot_m_id = session.m_id -> (
-                match Registry.symbol_of_func_id session.entry func_id with
-                | Some sym -> slots := (seq, func_id, sym.Smof.sym_name) :: !slots
-                | None -> ())
-            | Some _ | None -> ()
-          done;
-          let slots = !slots in
-          let lane_attrs func_name =
-            [
-              ("phase", "call");
-              ("function", func_name);
-              ("module", mod_name);
-              ("calls_so_far", calls0);
-            ]
-            @ opairs
-          in
-          let decision_of = function
-            | Ok () -> Cache_allow
-            | Error (d : Policy.denial) ->
-                Cache_deny
-                  (Printf.sprintf "policy %s: %s" (Policy.describe d.Policy.policy)
-                     d.Policy.reason)
-          in
-          let run_lanes keys =
-            (* One lane per key, in order; returns decisions positionally. *)
-            let lanes =
-              Array.of_list
-                (List.map
-                   (fun (_, name) ->
-                     { Policy.vl_origin = origin; vl_attrs = lane_attrs name })
-                   keys)
-            in
-            let clock = Machine.clock t.machine in
+  else
+    match fused_of t session ~transport with
+    | None -> no_pre
+    | Some ctx when not (Policy.vector_eligible ctx) -> no_pre
+    | Some ctx -> (
+        let origin = origin_of t session ~transport in
+        let policy_cacheable = Policy.cacheable session.entry.Registry.policy in
+        (* Gather the function column.  Slots that fail the structural
+           checks (torn write, wrong m_id, unknown function) are left to
+           the stamp loop, which denies them before any policy evaluation
+           — exactly the slot-by-slot order. *)
+        let slots = ref [] in
+        for seq = limit - 1 downto stamped0 do
+          match Ring.submitted_info ring ~seq with
+          | Some (slot_m_id, func_id) when slot_m_id = session.m_id -> (
+              match Registry.symbol_of_func_id session.entry func_id with
+              | Some sym -> slots := (seq, func_id, sym.Smof.sym_name) :: !slots
+              | None -> ())
+          | Some _ | None -> ()
+        done;
+        let slots = !slots in
+        (* Cacheable policies get one lane per distinct function, its
+           verdict broadcast to every slot calling it (the decider's memo
+           evaluates exactly as often); other policies one lane per slot. *)
+        let key (seq, func_id, _) = if policy_cacheable then func_id else seq in
+        let lanes =
+          List.fold_left
+            (fun acc s ->
+              if List.exists (fun s' -> key s' = key s) acc then acc else acc @ [ s ])
+            [] slots
+        in
+        if List.length lanes < 2 then no_pre
+        else begin
+          let clock = Machine.clock t.machine in
+          let verdicts =
             Policy.check_vector ~clock ~now_us:(Clock.now_us clock)
-              ~credential:session.credential ~width:t.vector_width ~lanes ctx
-              session.policy_state
-            |> Array.map decision_of
+              ~credential:session.credential
+              ~lanes:
+                (Array.of_list
+                   (List.map
+                      (fun (_, _, func_name) ->
+                        {
+                          Policy.vl_origin = origin;
+                          vl_attrs = call_attrs session ~origin ~func_name;
+                        })
+                      lanes))
+              ctx session.policy_state
           in
-          if policy_cacheable then begin
-            let distinct = ref [] in
-            List.iter
-              (fun (_, func_id, name) ->
-                if not (List.mem_assoc func_id !distinct) then
-                  distinct := (func_id, name) :: !distinct)
-              slots;
-            let distinct = List.rev !distinct in
-            if List.length distinct < 2 then no_pre
-            else begin
-              let verdicts = run_lanes distinct in
-              let by_func = Hashtbl.create 8 in
-              List.iteri
-                (fun i (func_id, _) -> Hashtbl.replace by_func func_id verdicts.(i))
-                distinct;
-              let by_seq = Hashtbl.create 16 in
-              List.iter
-                (fun (seq, func_id, _) ->
-                  match Hashtbl.find_opt by_func func_id with
-                  | Some d -> Hashtbl.replace by_seq seq (func_id, d)
-                  | None -> ())
-                slots;
-              Hashtbl.find_opt by_seq
-            end
-          end
-          else if List.length slots < 2 then no_pre
-          else begin
-            let verdicts = run_lanes (List.map (fun (_, f, n) -> (f, n)) slots) in
-            let by_seq = Hashtbl.create 16 in
-            List.iteri
-              (fun i (seq, func_id, _) -> Hashtbl.replace by_seq seq (func_id, verdicts.(i)))
-              slots;
-            Hashtbl.find_opt by_seq
-          end)
-  end
+          let by_key = Hashtbl.create 16 in
+          List.iteri
+            (fun i s ->
+              Hashtbl.replace by_key (key s)
+                (match verdicts.(i) with
+                | Ok () -> Cache_allow
+                | Error d -> Cache_deny (denial_message d)))
+            lanes;
+          let by_seq = Hashtbl.create 16 in
+          List.iter
+            (fun ((seq, func_id, _) as s) ->
+              Hashtbl.replace by_seq seq (func_id, Hashtbl.find by_key (key s)))
+            slots;
+          Hashtbl.find_opt by_seq
+        end)
 
 (* Stamp every submitted-but-unstamped slot in [stamped0, limit):
    identical charge order on the trap path ([per_slot] is a no-op there)
    and the poller path (which charges {!Cost.Poll_slot_scan} per slot).
-   [pre] is the vector pre-pass's verdict table — consulted positionally,
-   with a function-match guard so a slot whose words changed between
-   gather and stamp (impossible within one trap, but belt-and-braces)
-   falls back to the slot-major decider.  Returns (slots examined,
-   slots admitted). *)
+   [pre] is the batch-major pre-pass's verdict table — consulted
+   positionally, with a function-match guard so a slot whose words
+   changed between gather and stamp (impossible within one trap, but
+   belt-and-braces) falls back to the per-slot decider.  Returns (slots
+   examined, slots admitted). *)
 let stamp_submitted t session ring ~decide ~pre ~per_slot ~stamped0 ~limit =
   let pid = session.client_pid in
   let n = ref 0 and allowed = ref 0 in
@@ -2130,46 +1965,6 @@ let poller_sessions t =
     t.sessions_by_client []
   |> List.sort (fun a b -> compare a.sid b.sid)
 
-(* Kernel-side ring bind: same pinned-geometry rules as
-   [bind_session_ring], but from the poller's context — the client's
-   address space is looked up, never trusted from a trap frame, and a
-   geometry mismatch is skipped (and counted) rather than raised: there
-   is no client trap to fail.  The client still gets its EINVAL the
-   moment it traps the doorbell or batch syscall itself. *)
-let poller_bind t po (pp : Proc.t) session =
-  match session.ring with
-  | Some rs -> Some rs
-  | None -> (
-      match Machine.ring_registration t.machine ~pid:session.client_pid with
-      | None -> None
-      | Some (base, nslots) -> (
-          match Machine.proc t.machine session.client_pid with
-          | None -> None
-          | Some client -> (
-              match Ring.of_registration client.Proc.aspace ~base ~nslots with
-              | None ->
-                  po.p_geometry_rejects <- po.p_geometry_rejects + 1;
-                  None
-              | Some ring ->
-                  let rs =
-                    {
-                      r_ring = ring;
-                      r_client_wq = Sched.waitq (Printf.sprintf "ring-client-%d" session.sid);
-                      r_handle_wq = Sched.waitq (Printf.sprintf "ring-handle-%d" session.sid);
-                      r_handle_engaged = false;
-                    }
-                  in
-                  session.ring <- Some rs;
-                  (* A process-backed handle may still be blocked in its
-                     legacy msgrcv; bounce it into the ring-aware loop.
-                     Mux sessions have no queue — the msgsnd fails
-                     harmlessly. *)
-                  (try
-                     Machine.msgsnd t.machine pp ~qid:session.req_qid
-                       ~mtype:ring_doorbell_mtype (Bytes.create 0)
-                   with Errno.Error _ -> ());
-                  Some rs)))
-
 (* One sweep over every live session's ring: charge the fixed sweep
    overhead, then per examined slot the scan cost (stamping charges
    Ring_stamp on top, exactly as the trap path does).  Returns the number
@@ -2185,9 +1980,10 @@ let poller_sweep t po (pp : Proc.t) =
       try
         if session.detached || not session.established then ()
         else
-          match poller_bind t po pp session with
-          | None -> ()
-          | Some rs ->
+          match bind_ring t ~sender:pp session with
+          | Error `Unbound -> ()
+          | Error `Geometry -> po.p_geometry_rejects <- po.p_geometry_rejects + 1
+          | Ok rs ->
               let ring = rs.r_ring in
               let stamped0 = Machine.ring_stamped t.machine ~pid:session.client_pid in
               (* Same forged-head clamp as the trap path: at most one
@@ -2508,8 +2304,6 @@ let install machine ?keystore () =
       remove_hooks = [];
       compile_policies = false;
       fuse_policies = false;
-      vectorize_policies = false;
-      vector_width = Vexec.default_width;
       dispatch_gate = None;
       spin_budget = default_spin_budget;
       poller = None;

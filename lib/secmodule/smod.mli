@@ -275,51 +275,32 @@ val set_policy_compile : t -> bool -> unit
 val policy_compile_enabled : t -> bool
 
 val set_policy_fuse : t -> bool -> unit
-(** Layer the fused batch engine ({!Smod_keynote.Fuse}) on top of
-    compiled policies (requires {!set_policy_compile} on to take
-    effect): each KeyNote arm is additionally lowered into
-    superoperator-fused segments partitioned into a batch-invariant
-    prefix and a per-slot residue.  The prefix runs once per (session,
-    policy revision, keystore generation, transport) — charged
+(** Layer fused batch plans ({!Smod_keynote.Fuse}) on top of compiled
+    policies (requires {!set_policy_compile} on to take effect): each
+    KeyNote arm is additionally lowered into superoperator-fused segments
+    partitioned into a batch-invariant prefix and a per-slot residue,
+    and every fused evaluation runs on the lane executor
+    ({!Smod_keynote.Vexec}) at N >= 1 lanes.  The prefix runs once per
+    (session, policy revision, keystore generation, transport) — charged
     {!Smod_sim.Cost_model.Policy_fused_setup} plus its opcodes — and
-    every admission (scalar call, ring batch slot, poller slot) then
-    pays residue opcodes only.  Origin predicates ([origin_module],
-    [origin_ring], [origin_transport]) resolve against kernel-held
-    session state on every engine; compilation fails closed when one
-    names an unknown module, ring, or transport.  Stateful arms
+    every admission then pays residue opcodes only.  A scalar msgq call,
+    or a batch slot evaluated on its own, is one lane.  A ring batch or
+    poller sweep is executed batch-major — one pass per residue opcode
+    over all lanes, charged {!Smod_sim.Cost_model.Policy_vector_op} at
+    [ceil(live_lanes/8)] units per pass — whenever it has at least two
+    evaluable lanes, the armed tree is {!Policy.vector_eligible}, the
+    session is not served by the smodd decision cache, and (for
+    cacheable policies, whose per-batch memo already evaluates once per
+    function) the batch names at least two distinct functions; other
+    batches run one lane per slot.  Verdicts, quota state transitions,
+    and denial reasons are identical either way (the differential in
+    test/test_compile.ml asserts it).  Origin predicates
+    ([origin_module], [origin_ring], [origin_transport]) resolve against
+    kernel-held session state on every engine; compilation fails closed
+    when one names an unknown module, ring, or transport.  Stateful arms
     (quotas, rate limits) still evaluate per slot.  Default: off. *)
 
 val policy_fuse_enabled : t -> bool
-
-val set_policy_vectorize : t -> bool -> unit
-(** Layer batch-major residue execution (E25, {!Smod_keynote.Vexec}) on
-    top of fused policies (requires both {!set_policy_compile} and
-    {!set_policy_fuse} on to take effect): before the stamp loop of a
-    ring batch or a poller sweep, the varying attributes of every
-    evaluable submitted slot are gathered into struct-of-arrays columns
-    and the residue executes one pass per opcode over all lanes,
-    charging {!Smod_sim.Cost_model.Policy_vector_op} at
-    [ceil(live_lanes/W)] units per pass.  Per-lane verdict masks keep
-    denied lanes out of later passes; verdicts, quota state transitions,
-    and denial reasons are identical to the slot-major path (the
-    four-way differential in test/test_compile.ml asserts it).  The
-    pre-pass declines — falling back to slot-major fused evaluation
-    wholesale — for batches under two lanes, single-function batches of
-    cacheable policies (the per-batch memo is already cheaper),
-    vector-ineligible trees ({!Policy.vector_eligible}), and sessions
-    served by the smodd decision cache.  The msgq path stays scalar —
-    there is nothing to vectorize.  Default: off. *)
-
-val policy_vectorize_enabled : t -> bool
-
-val set_vector_width : t -> int -> unit
-(** Lane width W for the vector cost discount (default 8, the
-    {!Smod_keynote.Vexec.default_width}).  Raises [Invalid_argument]
-    below 1.  Width 1 prices every pass like a scalar compiled op —
-    useful for differential tests that want vectorized execution with
-    scalar-identical charging. *)
-
-val vector_width : t -> int
 
 type compile_status = {
   cs_m_id : int;

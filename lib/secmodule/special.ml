@@ -36,13 +36,4 @@ let kill smod (p : Proc.t) ~pid ~signal =
 
 let getpid smod (p : Proc.t) = Machine.sys_getpid (Smod.machine smod) p
 
-let wait smod (p : Proc.t) =
-  (* Handle children are forced forks the client never reaps; filter them
-     out of the visible child list for the duration of the wait. *)
-  let machine = Smod.machine smod in
-  let visible pid = Smod.session_of_handle smod ~handle_pid:pid = None in
-  let hidden = List.filter (fun c -> not (visible c)) p.Proc.children in
-  p.Proc.children <- List.filter visible p.Proc.children;
-  Fun.protect
-    ~finally:(fun () -> p.Proc.children <- p.Proc.children @ hidden)
-    (fun () -> Machine.sys_wait machine p)
+let wait smod (p : Proc.t) = Machine.sys_wait (Smod.machine smod) p

@@ -33,5 +33,6 @@ val getpid : Smod.t -> Smod_kern.Proc.t -> int
     {!Smod_kern.Machine.sys_getpid}); provided here for symmetry. *)
 
 val wait : Smod.t -> Smod_kern.Proc.t -> Smod_kern.Sched.exit_status * int
-(** Waits for a child of the {e client}; handle children (forced forks)
-    are invisible to it. *)
+(** Waits for a child of the {e client}.  Handles never show up: the
+    kernel reaps a forced-fork handle itself when it exits, and never
+    lists it among the client's children. *)

@@ -245,6 +245,27 @@ let test_trajectory_ordering_and_headlines () =
   Alcotest.(check (list string)) "every headline key present" Trajectory.headline_keys
     (List.map fst values)
 
+(* Same-date captures keep the order they were appended in: a commit
+   hash says nothing about which capture came later. *)
+let test_trajectory_same_date_append_order () =
+  let at date commit = entry ~date ~commit ~snapshot:(date ^ "_" ^ commit ^ ".json") in
+  let first = at "2026-08-08" "fffffff" in
+  let second = at "2026-08-08" "0000000" in
+  let earlier = at "2026-08-01" "9999999" in
+  let history = List.fold_left Trajectory.append [] [ first; second; earlier ] in
+  Alcotest.(check (list string)) "date order, same date in append order"
+    [ "9999999"; "fffffff"; "0000000" ]
+    (List.map (fun (e : Trajectory.entry) -> e.Trajectory.t_commit) history);
+  let rendered = Trajectory.render history in
+  let row commit =
+    let rec find i = function
+      | [] -> Alcotest.failf "no row for %s" commit
+      | l :: rest -> if contains ~affix:commit l then i else find (i + 1) rest
+    in
+    find 0 (String.split_on_char '\n' rendered)
+  in
+  Alcotest.(check bool) "rendered in append order" true (row "fffffff" < row "0000000")
+
 let test_trajectory_slope () =
   (* The E9 headline is a least-squares slope over the assertion-count
      sweep; with means lying exactly on a line the fit is exact. *)
@@ -318,6 +339,7 @@ let () =
       ( "trajectory",
         [
           tc "ordering, idempotence, headlines" test_trajectory_ordering_and_headlines;
+          tc "same-date entries keep append order" test_trajectory_same_date_append_order;
           tc "e9 least-squares slope" test_trajectory_slope;
           tc "old entries tolerate new headlines" test_trajectory_old_entries_tolerated;
         ] );

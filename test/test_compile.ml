@@ -1,10 +1,11 @@
-(* The compiled policy engine (PR 4): randomized differential testing of
-   Compile.run against Eval.query, Policy.check_compiled against
-   Policy.check, the fail-closed divergences (unknown levels, unverified
-   chains), hostile-input parser hardening, and the cache-invalidation
-   story — keystore rotation must evict compiled programs and pooled
-   decisions in the same step, including between session establishment
-   and the first batched call. *)
+(* The compiled policy engine: randomized differential testing of
+   Compile.run against Eval.query, the lane executor against both,
+   Policy.check_compiled against Policy.check, the fail-closed
+   divergences (unknown levels, unverified chains), hostile-input parser
+   hardening, and the cache-invalidation story — keystore rotation must
+   evict compiled programs and pooled decisions in the same step,
+   including between session establishment and the first batched
+   call. *)
 
 module M = Smod_kern.Machine
 module Proc = Smod_kern.Proc
@@ -210,7 +211,7 @@ let test_e9_op_slope () =
     true (per_assertion <= 8.0)
 
 (* ------------------------------------------------------------------ *)
-(* Fused batch engine (E24): Fuse.run_slot ≡ Compile.run ≡ Eval.query  *)
+(* Lane executor: N = batch ≡ N = 1 per slot ≡ Compile.run ≡ Eval.query *)
 (* ------------------------------------------------------------------ *)
 
 let origin_pairs (o : Fuse.origin) =
@@ -245,148 +246,125 @@ let batch_slots base =
     :: strip "function" (strip "calls_so_far" base);
   ]
 
-(* The tentpole's correctness contract: one snapshot per batch, residue
-   replayed per slot, and every slot's verdict equals both the per-slot
-   compiled pass and the interpreted checker — including programs with
-   origin predicates (resolved from the kernel origin record on the fused
-   engine, from the appended attr pairs on the other two) and varying
-   attributes.  Residue op counts must never exceed the full pass. *)
+(* Attrs must agree with the kernel origin record, as the dispatcher
+   guarantees: drop any generated origin pair, append the real ones. *)
+let with_origin attrs0 origin =
+  List.filter (fun (k, _) -> not (List.mem k Compile.origin_attrs)) attrs0
+  @ origin_pairs origin
+
+let lane origin attrs = { Vexec.l_origin = origin; l_attrs = attrs }
+
+(* Both differentials below arm one snapshot per generated batch from
+   its batch-invariant attrs and then run the residue, over generated
+   programs that include origin predicates (resolved from the kernel
+   origin record by the lane executor, from the appended attr pairs by
+   the compiled and interpreted engines), per-lane attribute divergence
+   (different functions, calls_so_far extremes) and the early-deny
+   short-circuits a fused test+jf produces.  [check] sees every slot
+   with its interpreted result, its per-slot compiled pass and its
+   one-lane fused run. *)
+let fused_differential ((policy, credentials, attrs0, requesters), origin) check =
+  let base = with_origin attrs0 origin in
+  match Compile.compile ~policy ~credentials ~requesters ~levels () with
+  | Error e -> QCheck.Test.fail_reportf "compile failed on valid levels: %s" e
+  | Ok prog ->
+      let plan = Fuse.plan prog ~varying:Policy.batch_varying_attrs in
+      let invariant =
+        List.filter (fun (k, _) -> not (List.mem k Policy.batch_varying_attrs)) base
+      in
+      let snap = Vexec.begin_batch plan ~origin ~attrs:invariant in
+      let slots = Array.of_list (batch_slots base) in
+      check plan snap slots (fun attrs ->
+          let r = Eval.query ~policy ~credentials ~attrs ~requesters ~levels in
+          let c = Compile.run prog ~attrs in
+          let solo = Vexec.run_residue plan snap ~lanes:[| lane origin attrs |] in
+          (r, c, solo))
+
+let show_attrs attrs = String.concat "," (List.map (fun (a, b) -> a ^ "=" ^ b) attrs)
+
+(* The fused plan run one lane per slot: every slot's verdict equals both
+   the per-slot compiled pass and the interpreted checker.  One lane
+   charges one unit per executed opcode, never more than the full
+   compiled pass. *)
 let prop_fused_matches_compiled_and_interpreted =
   QCheck.Test.make ~name:"fused verdict = per-slot = interpreted (batch)" ~count:2000
     (QCheck.make ~print:print_fused_query (QCheck.Gen.pair gen_query gen_origin))
-    (fun ((policy, credentials, attrs0, requesters), origin) ->
-      (* Attrs must agree with the kernel origin record, as the dispatcher
-         guarantees: drop any generated origin pair, append the real ones. *)
-      let base =
-        List.filter (fun (k, _) -> not (List.mem k Compile.origin_attrs)) attrs0
-        @ origin_pairs origin
-      in
-      match Compile.compile ~policy ~credentials ~requesters ~levels () with
-      | Error e -> QCheck.Test.fail_reportf "compile failed on valid levels: %s" e
-      | Ok prog ->
-          let plan = Fuse.plan prog ~varying:Policy.batch_varying_attrs in
-          let invariant =
-            List.filter
-              (fun (k, _) -> not (List.mem k Policy.batch_varying_attrs))
-              base
-          in
-          let snap = Fuse.begin_batch plan ~origin ~attrs:invariant in
-          List.for_all
+    (fun q ->
+      fused_differential q (fun plan _snap slots run ->
+          Array.for_all
             (fun attrs ->
-              let r = Eval.query ~policy ~credentials ~attrs ~requesters ~levels in
-              let c = Compile.run prog ~attrs in
-              let f = Fuse.run_slot plan snap ~origin ~attrs in
+              let r, c, solo = run attrs in
+              let one = solo.Vexec.vr_indices.(0) in
               if
-                f.Compile.index <> c.Compile.index
-                || f.Compile.level <> c.Compile.level
+                one <> c.Compile.index
+                || Vexec.level_of plan one <> c.Compile.level
                 || c.Compile.index <> r.Eval.index
                 || c.Compile.level <> r.Eval.level
               then
                 QCheck.Test.fail_reportf
                   "slot [%s]: fused (%s,%d) per-slot (%s,%d) interpreted (%s,%d)"
-                  (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) attrs))
-                  f.Compile.level f.Compile.index c.Compile.level c.Compile.index
-                  r.Eval.level r.Eval.index
-              else if f.Compile.ops > c.Compile.ops then
+                  (show_attrs attrs) (Vexec.level_of plan one) one c.Compile.level
+                  c.Compile.index r.Eval.level r.Eval.index
+              else if solo.Vexec.vr_units <> solo.Vexec.vr_passes then
+                QCheck.Test.fail_reportf "slot [%s]: one lane charged %d units for %d passes"
+                  (show_attrs attrs) solo.Vexec.vr_units solo.Vexec.vr_passes
+              else if solo.Vexec.vr_units > c.Compile.ops then
                 QCheck.Test.fail_reportf "residue ops %d exceed full pass %d"
-                  f.Compile.ops c.Compile.ops
+                  solo.Vexec.vr_units c.Compile.ops
               else true)
-            (batch_slots base))
+            slots))
 
-(* Snapshot reuse across batches: re-arming must be unnecessary as long
-   as the program is live.  Run the same slot through two snapshots and a
-   shared one many times — verdicts and op counts must be stable. *)
-let prop_snapshot_reusable =
-  QCheck.Test.make ~name:"snapshot reusable across batches" ~count:300
-    (QCheck.make ~print:print_fused_query (QCheck.Gen.pair gen_query gen_origin))
-    (fun ((policy, credentials, attrs0, requesters), origin) ->
-      let base =
-        List.filter (fun (k, _) -> not (List.mem k Compile.origin_attrs)) attrs0
-        @ origin_pairs origin
-      in
-      match Compile.compile ~policy ~credentials ~requesters ~levels () with
-      | Error e -> QCheck.Test.fail_reportf "compile failed: %s" e
-      | Ok prog ->
-          let plan = Fuse.plan prog ~varying:Policy.batch_varying_attrs in
-          let snap1 = Fuse.begin_batch plan ~origin ~attrs:base in
-          let snap2 = Fuse.begin_batch plan ~origin ~attrs:base in
-          let o1 = Fuse.run_slot plan snap1 ~origin ~attrs:base in
-          List.for_all
-            (fun slot ->
-              let a = Fuse.run_slot plan snap1 ~origin ~attrs:slot in
-              let b = Fuse.run_slot plan snap2 ~origin ~attrs:slot in
-              a.Compile.index = b.Compile.index && a.Compile.ops = b.Compile.ops)
-            (batch_slots base @ [ base; base ])
-          &&
-          let o1' = Fuse.run_slot plan snap1 ~origin ~attrs:base in
-          o1'.Compile.index = o1.Compile.index && o1'.Compile.ops = o1.Compile.ops)
-
-(* ------------------------------------------------------------------ *)
-(* Vectorized batch engine (E25): Vexec ≡ run_slot ≡ Compile ≡ Eval    *)
-(* ------------------------------------------------------------------ *)
-
-(* The four-way differential: the min-pc uniform walk over SoA lanes
-   computes, per lane, exactly the verdict of the slot-major fused
-   replay, the per-slot compiled pass, and the interpreted checker —
-   over generated programs that include origin predicates, per-lane
-   attribute divergence (different functions, calls_so_far extremes) and
-   the early-deny short-circuits fused test+jf produces.  At one lane
-   the walk must also charge exactly the scalar residue op count: the
-   honest fallback the batch-1 bench row relies on. *)
+(* The residue over all lanes of a batch at once gives every lane the
+   verdict of the one-lane fused run of the same slot, of the per-slot
+   compiled pass and of the interpreted checker. *)
 let prop_vectorized_matches_all =
   QCheck.Test.make ~name:"vectorized = fused = per-slot = interpreted (batch)"
     ~count:2000
     (QCheck.make ~print:print_fused_query (QCheck.Gen.pair gen_query gen_origin))
-    (fun ((policy, credentials, attrs0, requesters), origin) ->
-      let base =
-        List.filter (fun (k, _) -> not (List.mem k Compile.origin_attrs)) attrs0
-        @ origin_pairs origin
-      in
-      match Compile.compile ~policy ~credentials ~requesters ~levels () with
-      | Error e -> QCheck.Test.fail_reportf "compile failed on valid levels: %s" e
-      | Ok prog ->
-          let plan = Fuse.plan prog ~varying:Policy.batch_varying_attrs in
-          let invariant =
-            List.filter
-              (fun (k, _) -> not (List.mem k Policy.batch_varying_attrs))
-              base
-          in
-          let snap = Fuse.begin_batch plan ~origin ~attrs:invariant in
-          let slots = Array.of_list (batch_slots base) in
-          let lanes =
-            Array.map
-              (fun attrs -> { Vexec.l_origin = origin; l_attrs = attrs })
-              slots
-          in
-          let res = Vexec.run_residue plan snap ~width:Vexec.default_width ~lanes in
-          Array.length res.Vexec.vr_indices = Array.length slots
+    (fun ((_, origin) as q) ->
+      fused_differential q (fun plan snap slots run ->
+          let batch = Vexec.run_residue plan snap ~lanes:(Array.map (lane origin) slots) in
+          Array.length batch.Vexec.vr_indices = Array.length slots
           && Array.for_all Fun.id
                (Array.mapi
                   (fun k attrs ->
-                    let r = Eval.query ~policy ~credentials ~attrs ~requesters ~levels in
-                    let f = Fuse.run_slot plan snap ~origin ~attrs in
-                    let v = res.Vexec.vr_indices.(k) in
-                    if v <> f.Compile.index || f.Compile.index <> r.Eval.index then
+                    let r, c, solo = run attrs in
+                    let one = solo.Vexec.vr_indices.(0) in
+                    let v = batch.Vexec.vr_indices.(k) in
+                    if v <> one || one <> c.Compile.index || c.Compile.index <> r.Eval.index
+                    then
                       QCheck.Test.fail_reportf
-                        "lane %d [%s]: vectorized %d fused (%s,%d) interpreted (%s,%d)"
-                        k
-                        (String.concat "," (List.map (fun (a, b) -> a ^ "=" ^ b) attrs))
-                        v f.Compile.level f.Compile.index r.Eval.level r.Eval.index
-                    else
-                      (* Scalar fallback: one lane, any width — same
-                         verdict, and unit count = the scalar residue
-                         replay's op count. *)
-                      let solo =
-                        Vexec.run_residue plan snap ~width:1 ~lanes:[| lanes.(k) |]
-                      in
-                      if solo.Vexec.vr_indices.(0) <> f.Compile.index then
-                        QCheck.Test.fail_reportf "lane %d solo verdict diverges" k
-                      else if solo.Vexec.vr_units <> f.Compile.ops then
-                        QCheck.Test.fail_reportf
-                          "lane %d solo units %d <> scalar residue ops %d" k
-                          solo.Vexec.vr_units f.Compile.ops
-                      else true)
-                  slots))
+                        "lane %d [%s]: vectorized %d fused %d per-slot (%s,%d) interpreted (%s,%d)"
+                        k (show_attrs attrs) v one c.Compile.level c.Compile.index
+                        r.Eval.level r.Eval.index
+                    else true)
+                  slots)))
+
+(* Snapshot reuse across batches: re-arming must be unnecessary as long
+   as the program is live.  Run the same slot at one lane through two
+   snapshots and a shared one many times — verdicts and op counts must
+   be stable, although one lane rewrites the snapshot's scratch nodes in
+   place. *)
+let prop_snapshot_reusable =
+  QCheck.Test.make ~name:"snapshot reusable across batches" ~count:300
+    (QCheck.make ~print:print_fused_query (QCheck.Gen.pair gen_query gen_origin))
+    (fun ((policy, credentials, attrs0, requesters), origin) ->
+      let base = with_origin attrs0 origin in
+      match Compile.compile ~policy ~credentials ~requesters ~levels () with
+      | Error e -> QCheck.Test.fail_reportf "compile failed: %s" e
+      | Ok prog ->
+          let plan = Fuse.plan prog ~varying:Policy.batch_varying_attrs in
+          let snap1 = Vexec.begin_batch plan ~origin ~attrs:base in
+          let snap2 = Vexec.begin_batch plan ~origin ~attrs:base in
+          let one snap attrs = Vexec.run_residue plan snap ~lanes:[| lane origin attrs |] in
+          let same (a : Vexec.result) (b : Vexec.result) =
+            a.Vexec.vr_indices = b.Vexec.vr_indices && a.Vexec.vr_units = b.Vexec.vr_units
+          in
+          let o1 = one snap1 base in
+          List.for_all
+            (fun slot -> same (one snap1 slot) (one snap2 slot))
+            (batch_slots base @ [ base; base ])
+          && same (one snap1 base) o1)
 
 (* The lane-mask accounting, pinned on a hand-built ladder: a lane that
    fails the matching rung's first test jumps forward to the join point
@@ -405,15 +383,15 @@ let test_vexec_divergent_lane_rides_free () =
   in
   match Compile.compile ~policy ~credentials:[] ~requesters:[ "client" ] ~levels () with
   | Error e -> Alcotest.failf "compile: %s" e
-  | Ok prog -> (
+  | Ok prog ->
       let plan = Fuse.plan prog ~varying:Policy.batch_varying_attrs in
       let origin = Fuse.no_origin in
       let slot_attrs = [ ("a", "1"); ("b", "2") ] in
-      let snap = Fuse.begin_batch plan ~origin ~attrs:slot_attrs in
-      let lane f = { Vexec.l_origin = origin; l_attrs = ("function", f) :: slot_attrs } in
-      let allow = Vexec.run_residue plan snap ~width:8 ~lanes:[| lane "f" |] in
-      let deny = Vexec.run_residue plan snap ~width:8 ~lanes:[| lane "zzz" |] in
-      let both = Vexec.run_residue plan snap ~width:8 ~lanes:[| lane "f"; lane "zzz" |] in
+      let snap = Vexec.begin_batch plan ~origin ~attrs:slot_attrs in
+      let lane f = lane origin (("function", f) :: slot_attrs) in
+      let allow = Vexec.run_residue plan snap ~lanes:[| lane "f" |] in
+      let deny = Vexec.run_residue plan snap ~lanes:[| lane "zzz" |] in
+      let both = Vexec.run_residue plan snap ~lanes:[| lane "f"; lane "zzz" |] in
       Alcotest.(check (array int))
         "verdicts per lane" [| 1; 0 |] both.Vexec.vr_indices;
       Alcotest.(check int) "divergent lane rides free inside one width group"
@@ -422,10 +400,7 @@ let test_vexec_divergent_lane_rides_free () =
         (Printf.sprintf "all-deny walk skips the stretch (%d < %d passes)"
            deny.Vexec.vr_passes allow.Vexec.vr_passes)
         true
-        (deny.Vexec.vr_passes < allow.Vexec.vr_passes);
-      match Vexec.run_residue plan snap ~width:0 ~lanes:[| lane "f" |] with
-      | _ -> Alcotest.fail "width 0 must be rejected"
-      | exception Invalid_argument _ -> ())
+        (deny.Vexec.vr_passes < allow.Vexec.vr_passes)
 
 let mk_clock () = M.clock (M.create ~jitter:0.0 ())
 
@@ -460,7 +435,7 @@ let policy_trusting_vendor ?(conds = "calls_so_far < 3 -> \"allow\";") () =
 
 (* Which armed trees the dispatcher may evaluate batch-major: volatile
    residues (calls_so_far makes lane k's input depend on earlier
-   verdicts) and clock-dependent arms must fall back slot-major; quota
+   verdicts) and clock-dependent arms stay one lane per slot; quota
    composites and function-varying ladders are fair game. *)
 let test_vector_eligibility () =
   let clock = mk_clock () in
@@ -500,8 +475,8 @@ let test_vector_eligibility () =
 
 (* Arm-major evaluation of a quota + KeyNote composite: one check_vector
    call over six lanes must hand back, lane for lane, the verdicts (and
-   denial reasons) six sequential check_fused calls produce against a
-   twin state — quota consumed in lane order, the KeyNote arm evaluated
+   denial reasons) six sequential one-lane calls produce against a twin
+   state — quota consumed in lane order, the KeyNote arm evaluated
    batch-major through Vexec with lane compaction. *)
 let test_policy_vector_parity () =
   let clock = mk_clock () in
@@ -533,15 +508,15 @@ let test_policy_vector_parity () =
   let s_vec = Policy.initial_state policy in
   let s_seq = Policy.initial_state policy in
   let vec =
-    Policy.check_vector ~clock ~now_us:0.0 ~credential ~width:8 ~lanes ctx s_vec
+    Policy.check_vector ~clock ~now_us:0.0 ~credential ~lanes ctx s_vec
   in
   Alcotest.(check int) "one verdict per lane" (Array.length funcs)
     (Array.length vec);
   Array.iteri
     (fun i f ->
       let seq =
-        Policy.check_fused ~clock ~now_us:0.0 ~credential ~origin
-          ~attrs:(attrs_of f) ctx s_seq
+        (Policy.check_vector ~clock ~now_us:0.0 ~credential ~lanes:[| lanes.(i) |] ctx
+           s_seq).(0)
       in
       match (vec.(i), seq) with
       | Ok (), Ok () -> ()
@@ -550,16 +525,17 @@ let test_policy_vector_parity () =
             (Printf.sprintf "lane %d (%s) denial reason" i f)
             b.Policy.reason a.Policy.reason
       | Ok (), Error b ->
-          Alcotest.failf "lane %d (%s): vector allowed, slot-major denied (%s)" i
+          Alcotest.failf "lane %d (%s): batch allowed, one lane denied (%s)" i
             f b.Policy.reason
       | Error a, Ok () ->
-          Alcotest.failf "lane %d (%s): vector denied (%s), slot-major allowed" i
+          Alcotest.failf "lane %d (%s): batch denied (%s), one lane allowed" i
             f a.Policy.reason)
     funcs;
   (* Pin the composite semantics: the keynote arm rejects "blocked", and
      the quota arm consumes on its own pass — including for the lane the
      keynote arm later denies — so only three keynote-approved lanes fit
-     before the counter starves the tail, exactly as slot-major does. *)
+     before the counter starves the tail, exactly as one lane per slot
+     does. *)
   let verdict i = match vec.(i) with Ok () -> "allow" | Error _ -> "deny" in
   Alcotest.(check (list string))
     "verdict pattern"
@@ -567,8 +543,8 @@ let test_policy_vector_parity () =
     (List.init (Array.length funcs) verdict)
 
 (* Policy-layer parity: a stateful composite (quota over a volatile
-   keynote arm) armed once per batch must consume quota per slot exactly
-   like the interpreted and per-slot compiled engines. *)
+   keynote arm) armed once per batch and checked one lane per call must
+   consume quota per slot exactly like the interpreted engine. *)
 let test_policy_fused_parity () =
   let clock = mk_clock () in
   let ks = vendor_keystore () in
@@ -588,7 +564,9 @@ let test_policy_fused_parity () =
     let attrs = ("calls_so_far", string_of_int i) :: origin_pairs origin in
     let a = Policy.check ~clock ~now_us:0.0 ~credential ~attrs policy s_interp in
     let b =
-      Policy.check_fused ~clock ~now_us:0.0 ~credential ~origin ~attrs ctx s_fused
+      (Policy.check_vector ~clock ~now_us:0.0 ~credential
+         ~lanes:[| { Policy.vl_origin = origin; vl_attrs = attrs } |]
+         ctx s_fused).(0)
     in
     match (a, b) with
     | Ok (), Ok () ->
@@ -1332,58 +1310,68 @@ let test_fused_rotation_between_batches () =
   Alcotest.(check bool) "batch after rotation fully denied" true
     (!after = [ `Err Errno.EACCES; `Err Errno.EACCES; `Err Errno.EACCES ])
 
-(* The vectorized admission path end to end: a mixed-function ring batch
-   under a function-discriminating policy must produce the exact verdict
-   sequence the slot-major fused path produces, and the keynote vector
-   counters must prove the batch actually went batch-major (at least two
-   distinct funcIDs, fused, eligible — nothing to decline on). *)
-let mixed_batch_statuses ~vectorize () =
-  let world =
-    origin_world
-      "phase == \"session\" -> \"allow\"; function != \"abs\" && module == \
-       \"seclibc\" -> \"allow\";"
-  in
+(* Batch-major selection end to end, with no knob: once compile and fuse
+   are on, a ring batch runs batch-major exactly when it can — here a
+   mixed-function batch under a cacheable, function-discriminating
+   policy — and one lane per slot otherwise: a single-function batch of
+   a cacheable policy (the per-batch memo already evaluates once), or a
+   policy that reads calls_so_far (lane k's input would depend on earlier
+   verdicts).  Whatever the choice, the verdicts are the interpreted
+   engine's. *)
+let batch_statuses ~fused ~conds funcs =
+  let world = origin_world ("phase == \"session\" -> \"allow\"; " ^ conds) in
   let smod = world.World.smod in
-  Smod.set_policy_compile smod true;
-  Smod.set_policy_fuse smod true;
-  Smod.set_policy_vectorize smod vectorize;
+  Smod.set_policy_compile smod fused;
+  Smod.set_policy_fuse smod fused;
+  let counter () =
+    Option.value ~default:0 (Smod_metrics.counter_value "keynote.vector_batches")
+  in
   let statuses = ref [] in
-  World.spawn_seclibc_client world ~name:"mixed-batch-client" (fun _p conn ->
+  let v0 = counter () in
+  World.spawn_seclibc_client world ~name:"selection-client" (fun _p conn ->
       ignore (Stub.arm_ring conn);
       let id f = Option.get (Stub.func_id conn f) in
-      let rs =
-        Stub.call_batch_funcs conn
-          [
-            (id "test_incr", [| 1 |]);
-            (id "abs", [| 7 |]);
-            (id "getpid", [||]);
-            (id "test_incr", [| 5 |]);
-          ]
-      in
+      let rs = Stub.call_batch_funcs conn (List.map (fun (f, args) -> (id f, args)) funcs) in
       statuses := List.map (function Ok v -> `Ok v | Error (e, _) -> `Err e) rs);
   World.run world;
-  !statuses
+  (!statuses, counter () - v0)
 
 let test_vectorized_dispatch_end_to_end () =
-  let counter name =
-    Option.value ~default:0 (Smod_metrics.counter_value name)
+  let check name ~conds ~funcs ~batch_major =
+    let interpreted, _ = batch_statuses ~fused:false ~conds funcs in
+    let fused, vector_batches = batch_statuses ~fused:true ~conds funcs in
+    Alcotest.(check int) (name ^ ": slots") (List.length funcs) (List.length fused);
+    Alcotest.(check bool) (name ^ ": verdicts = interpreted engine") true (fused = interpreted);
+    if batch_major then
+      Alcotest.(check bool) (name ^ ": went batch-major") true (vector_batches > 0)
+    else Alcotest.(check int) (name ^ ": one lane per slot") 0 vector_batches;
+    fused
   in
-  let batches0 = counter "keynote.vector_batches" in
-  let scalar = mixed_batch_statuses ~vectorize:false () in
-  let batches1 = counter "keynote.vector_batches" in
-  Alcotest.(check int) "scalar run spawns no vector batch" batches0 batches1;
-  let vectorized = mixed_batch_statuses ~vectorize:true () in
-  let batches2 = counter "keynote.vector_batches" in
-  Alcotest.(check bool) "vector path actually ran" true (batches2 > batches1);
-  Alcotest.(check bool) "lanes counted" true
-    (counter "keynote.vector_lanes" >= 4);
-  Alcotest.(check int) "4 slots" 4 (List.length vectorized);
-  Alcotest.(check bool) "same verdicts as the slot-major fused path" true
-    (vectorized = scalar);
-  (match vectorized with
+  let mixed =
+    check "mixed functions"
+      ~conds:"function != \"abs\" && module == \"seclibc\" -> \"allow\";"
+      ~funcs:
+        [ ("test_incr", [| 1 |]); ("abs", [| 7 |]); ("getpid", [||]); ("test_incr", [| 5 |]) ]
+      ~batch_major:true
+  in
+  (match mixed with
   | [ `Ok 2; `Err e; `Ok _pid; `Ok 6 ] ->
       Alcotest.(check bool) "abs denied with EACCES" true (e = Errno.EACCES)
-  | _ -> Alcotest.fail "unexpected verdict shape for the mixed batch")
+  | _ -> Alcotest.fail "unexpected verdict shape for the mixed batch");
+  ignore
+    (check "single function, cacheable"
+       ~conds:"function != \"abs\" && module == \"seclibc\" -> \"allow\";"
+       ~funcs:(List.init 4 (fun i -> ("test_incr", [| i |])))
+       ~batch_major:false);
+  let volatile =
+    check "reads calls_so_far"
+      ~conds:"calls_so_far < 2 && module == \"seclibc\" -> \"allow\";"
+      ~funcs:
+        [ ("test_incr", [| 1 |]); ("abs", [| 7 |]); ("getpid", [||]); ("test_incr", [| 5 |]) ]
+      ~batch_major:false
+  in
+  Alcotest.(check int) "calls_so_far quota admits two" 2
+    (List.length (List.filter (function `Ok _ -> true | `Err _ -> false) volatile))
 
 (* Satellite: establishment-phase clauses under the attach transport
    crossing a rotation.  A policy that admits sessions via an

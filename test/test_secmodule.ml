@@ -688,7 +688,7 @@ let test_getpid_via_kernel_for_handle () =
 
 let test_execve_detaches_session () =
   let m, smod, _ = setup () in
-  let handle_pid = ref 0 in
+  let handle = ref None in
   ignore
     (M.spawn m ~name:"client" (fun p ->
          let conn =
@@ -696,18 +696,19 @@ let test_execve_detaches_session () =
          in
          ignore (Stub.call conn ~func:"test_incr" [| 1 |]);
          let session = Option.get (Smod.session_of_client smod ~client_pid:p.Proc.pid) in
-         handle_pid := session.Smod.handle_pid;
+         handle := Some (M.proc_exn m session.Smod.handle_pid);
          Special.execve smod p ~image:"fresh";
          Alcotest.(check bool) "session gone" true
            (Smod.session_of_client smod ~client_pid:p.Proc.pid = None)));
   M.run m;
-  let handle = M.proc_exn m !handle_pid in
+  let handle = Option.get !handle in
   Alcotest.(check bool) "handle killed" true
-    (match handle.Proc.state with Proc.Zombie (Sched.Signaled 9) -> true | _ -> false)
+    (match handle.Proc.state with Proc.Zombie (Sched.Signaled 9) -> true | _ -> false);
+  Alcotest.(check bool) "handle reaped by the kernel" true (M.proc m handle.Proc.pid = None)
 
 let test_client_exit_kills_handle () =
   let m, smod, _ = setup () in
-  let handle_pid = ref 0 in
+  let handle = ref None in
   ignore
     (M.spawn m ~name:"client" (fun p ->
          let conn =
@@ -715,11 +716,12 @@ let test_client_exit_kills_handle () =
          in
          ignore (Stub.call conn ~func:"test_incr" [| 1 |]);
          let session = Option.get (Smod.session_of_client smod ~client_pid:p.Proc.pid) in
-         handle_pid := session.Smod.handle_pid
+         handle := Some (M.proc_exn m session.Smod.handle_pid)
          (* exit without closing: lifetime-of-p policy tears it down *)));
   M.run m;
-  let handle = M.proc_exn m !handle_pid in
-  Alcotest.(check bool) "handle reaped with client" true (Proc.is_zombie handle)
+  let handle = Option.get !handle in
+  Alcotest.(check bool) "handle exited with client" true (Proc.is_zombie handle);
+  Alcotest.(check bool) "handle reaped with client" true (M.proc m handle.Proc.pid = None)
 
 let test_smod_fork_gives_child_fresh_session () =
   let m, smod, _ = setup () in
@@ -765,6 +767,52 @@ let test_special_wait_skips_handles () =
       saw_real_child := pid = real.Proc.pid && status = Sched.Exited 5);
   Alcotest.(check bool) "waited on the real child" true !saw_real_child
 
+(* A closed session's handle is gone, not a zombie child of the client:
+   the next wait sees only the client's own fork. *)
+let test_wait_after_close_finds_fork () =
+  let m, smod, _ = setup () in
+  let waited = ref (Sched.Exited (-1), -1) and real_pid = ref 0 in
+  ignore
+    (M.spawn m ~name:"client" (fun p ->
+         let conn =
+           Stub.connect smod p ~module_name:"testmod" ~version:1 ~credential:(cred "a")
+         in
+         ignore (Stub.call conn ~func:"test_incr" [| 1 |]);
+         Stub.close conn;
+         Smod_kern.Sched.yield ();
+         let real = M.sys_fork m p ~name:"realchild" ~child_body:(fun c -> M.sys_exit m c 5) in
+         real_pid := real.Proc.pid;
+         waited := Special.wait smod p));
+  M.run m;
+  Alcotest.(check int) "waited on the forked child" !real_pid (snd !waited);
+  Alcotest.(check bool) "its exit status" true (fst !waited = Sched.Exited 5)
+
+(* Sequential sessions in one client leave nothing behind: every handle
+   leaves the process table, none is listed among the client's children,
+   and no SIGCHLD piles up. *)
+let test_sessions_leave_no_handles () =
+  let m, smod, _ = setup () in
+  let handles = ref [] and client = ref None in
+  ignore
+    (M.spawn m ~name:"client" (fun p ->
+         client := Some p;
+         for i = 1 to 20 do
+           let conn =
+             Stub.connect smod p ~module_name:"testmod" ~version:1 ~credential:(cred "a")
+           in
+           Alcotest.(check int) "call" (i + 1) (Stub.call conn ~func:"test_incr" [| i |]);
+           let session = Option.get (Smod.session_of_client smod ~client_pid:p.Proc.pid) in
+           handles := session.Smod.handle_pid :: !handles;
+           Stub.close conn
+         done));
+  M.run m;
+  let p = Option.get !client in
+  Alcotest.(check int) "20 distinct handles" 20 (List.length (List.sort_uniq compare !handles));
+  Alcotest.(check bool) "no handle left in the process table" true
+    (List.for_all (fun pid -> M.proc m pid = None) !handles);
+  Alcotest.(check (list int)) "no children recorded" [] p.Proc.children;
+  Alcotest.(check bool) "no SIGCHLD queued" false
+    (List.mem Signal.sigchld p.Proc.pending_signals)
 
 (* ----------------- multi-function modules + linking ----------------- *)
 
@@ -1292,6 +1340,8 @@ let () =
           tc "getpid reports client" test_getpid_via_kernel_for_handle;
           tc "execve detaches" test_execve_detaches_session;
           tc "client exit kills handle" test_client_exit_kills_handle;
+          tc "wait after close finds the fork" test_wait_after_close_finds_fork;
+          tc "sessions leave no handles" test_sessions_leave_no_handles;
           tc "fork makes fresh handle" test_smod_fork_gives_child_fresh_session;
           tc "signals redirected" test_signal_to_handle_redirected;
           tc "wait skips handles" test_special_wait_skips_handles;
