@@ -463,22 +463,31 @@ let register_syscall t nr ~name handler =
 
 let set_syscall_filter t f = t.syscall_filter <- f
 
+let dispatch_syscall t p nr args =
+  (match t.syscall_filter with
+  | Some filter -> (
+      match filter p nr args with
+      | `Allow -> ()
+      | `Deny e -> Errno.raise_errno e (Sysno.name nr ^ ": denied by syscall policy"))
+  | None -> ());
+  match Hashtbl.find_opt t.syscalls nr with
+  | None -> Errno.raise_errno Errno.ENOSYS (Sysno.name nr)
+  | Some (_, handler) -> handler t p args
+
 let syscall t p nr args =
   Clock.charge t.clock Cost.Trap_enter;
   t.n_syscalls <- t.n_syscalls + 1;
   Smod_metrics.Counter.incr m_syscalls;
-  Fun.protect
-    ~finally:(fun () -> Clock.charge t.clock Cost.Trap_exit)
-    (fun () ->
-      (match t.syscall_filter with
-      | Some filter -> (
-          match filter p nr args with
-          | `Allow -> ()
-          | `Deny e -> Errno.raise_errno e (Sysno.name nr ^ ": denied by syscall policy"))
-      | None -> ());
-      match Hashtbl.find_opt t.syscalls nr with
-      | None -> Errno.raise_errno Errno.ENOSYS (Sysno.name nr)
-      | Some (_, handler) -> handler t p args)
+  (* Trap_exit is charged once on either path, without allocating the
+     closures a [Fun.protect] would. *)
+  match dispatch_syscall t p nr args with
+  | v ->
+      Clock.charge t.clock Cost.Trap_exit;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Clock.charge t.clock Cost.Trap_exit;
+      Printexc.raise_with_backtrace e bt
 
 let getpid_handler _t (p : Proc.t) _args =
   Clock.charge _t.clock Cost.Getpid_body;

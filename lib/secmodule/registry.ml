@@ -25,6 +25,12 @@ type entry = {
   mutable compile_hits : int;
   mutable compile_misses : int;
   mutable compile_invalidations : int;
+  (* Per-funcID constants of the dispatch path, each built on first use:
+     the expected native stub image (a pure function of the symbol's
+     native name and size) and the two per-function dispatch counters. *)
+  native_images : bytes option array;
+  func_calls : Smod_metrics.Counter.t option array;
+  func_denied : Smod_metrics.Counter.t option array;
 }
 
 type t = { mutable next_id : int; by_id : (int, entry) Hashtbl.t }
@@ -49,6 +55,8 @@ let add t ~image ~protection ~policy ~admin_principal ?kernel_key ?kernel_nonce 
   | None -> ());
   if image.Smof.encrypted && kernel_key = None then
     invalid_arg "Registry.add: encrypted image requires a kernel key";
+  let functions = Array.of_list (Smof.function_symbols image) in
+  let n_functions = Array.length functions in
   let entry =
     {
       m_id = t.next_id;
@@ -60,11 +68,14 @@ let add t ~image ~protection ~policy ~admin_principal ?kernel_key ?kernel_nonce 
       kernel_key;
       kernel_nonce;
       natives = Hashtbl.create 8;
-      functions = Array.of_list (Smof.function_symbols image);
+      functions;
       compiled_cache = Hashtbl.create 8;
       compile_hits = 0;
       compile_misses = 0;
       compile_invalidations = 0;
+      native_images = Array.make n_functions None;
+      func_calls = Array.make n_functions None;
+      func_denied = Array.make n_functions None;
     }
   in
   t.next_id <- t.next_id + 1;
@@ -127,3 +138,29 @@ let set_policy e policy =
 
 let bind_native e ~name fn = Hashtbl.replace e.natives name fn
 let native e name = Hashtbl.find_opt e.natives name
+
+let native_image e id =
+  match e.native_images.(id) with
+  | Some image -> image
+  | None -> (
+      let sym = e.functions.(id) in
+      match sym.Smof.sym_kind with
+      | Smof.Native name ->
+          let image = Smof.native_stub_image ~name ~size:sym.Smof.sym_size in
+          e.native_images.(id) <- Some image;
+          image
+      | Smof.Bytecode -> invalid_arg "Registry.native_image: not a native symbol")
+
+let func_counter e ~denied id =
+  let cache = if denied then e.func_denied else e.func_calls in
+  match cache.(id) with
+  | Some c -> c
+  | None ->
+      let kind = if denied then "func_denied" else "func_calls" in
+      let c =
+        Smod_metrics.counter
+          (String.concat "."
+             [ "secmodule"; kind; e.image.Smof.mod_name; e.functions.(id).Smof.sym_name ])
+      in
+      cache.(id) <- Some c;
+      c

@@ -33,6 +33,12 @@ type entry = {
   mutable compile_hits : int;
   mutable compile_misses : int;
   mutable compile_invalidations : int;
+  native_images : bytes option array;
+      (** index = funcID; filled by {!native_image} *)
+  func_calls : Smod_metrics.Counter.t option array;
+      (** index = funcID; filled by {!func_counter} *)
+  func_denied : Smod_metrics.Counter.t option array;
+      (** index = funcID; filled by {!func_counter} *)
 }
 
 type t
@@ -87,3 +93,16 @@ val func_id : entry -> string -> int option
 val symbol_of_func_id : entry -> int -> Smod_modfmt.Smof.symbol option
 val bind_native : entry -> name:string -> native_fn -> unit
 val native : entry -> string -> native_fn option
+
+val native_image : entry -> int -> bytes
+(** [native_image e func_id] is the stub image the mapped text of native
+    function [func_id] must equal, built from the symbol's native name
+    and size on first use and kept on the entry.  The caller still
+    compares the mapped bytes against it on every call.  Raises
+    [Invalid_argument] if [func_id] names a bytecode function. *)
+
+val func_counter : entry -> denied:bool -> int -> Smod_metrics.Counter.t
+(** The dispatch counter [secmodule.func_calls.<module>.<function>] (or
+    [func_denied] when [~denied:true]) for a valid funcID, created on
+    first use so a function never dispatched has no counter — what
+    [Audit] reads to find unused grants. *)

@@ -189,12 +189,11 @@ let m_scrub_bytes = Smod_metrics.Scope.counter m_scope "scrub_bytes"
 (* Per-function dispatch accounting: dynamic counters named
    secmodule.func_calls.<module>.<function> (and .func_denied...) are the
    evidence `smodctl audit` reads to find granted-but-never-dispatched
-   functions.  Metrics only — no cost-model charge, so simulated timings
-   are byte-for-byte what the baselines measured. *)
-let count_func ~denied ~mod_name ~func_name =
-  let kind = if denied then "func_denied" else "func_calls" in
-  Smod_metrics.Counter.incr
-    (Smod_metrics.counter (String.concat "." [ "secmodule"; kind; mod_name; func_name ]))
+   functions.  The handles are cached on the registry entry by funcID.
+   Metrics only — no cost-model charge, so simulated timings are
+   byte-for-byte what the baselines measured. *)
+let count_func ~denied entry func_id =
+  Smod_metrics.Counter.incr (Registry.func_counter entry ~denied func_id)
 
 (* Compiled-policy cache traffic (the caches themselves live on registry
    entries and, when smodd is installed, in the pool's policy cache). *)
@@ -460,15 +459,14 @@ let execute_function t session (handle : Proc.t) (req : Wire.request) =
             | Some fn -> (
                 (* Integrity: the mapped image bytes must still be the
                    registered native stand-in — a client cannot have
-                   substituted other code. *)
+                   substituted other code.  Checked on every call; only
+                   the expected image is cached on the entry. *)
                 let mapped =
                   Aspace.read_bytes handle.Proc.aspace
                     ~addr:(session.module_text_base + sym.Smof.sym_offset)
                     ~len:sym.Smof.sym_size
                 in
-                let expected =
-                  Smof.native_stub_image ~name:native_name ~size:sym.Smof.sym_size
-                in
+                let expected = Registry.native_image entry req.Wire.func_id in
                 if not (Bytes.equal mapped expected) then Error 4
                 else begin
                   try Ok (fn t.machine handle ~args_base:req.Wire.args_base) with
@@ -1619,7 +1617,6 @@ let sys_call t (p : Proc.t) ~framep ~rtnaddr ~m_id ~func_id =
     | Some sym -> sym.Smof.sym_name
     | None -> Errno.raise_errno Errno.EINVAL "smod_call: bad funcID"
   in
-  let mod_name = session.entry.Registry.image.Smof.mod_name in
   if not (fast_path_applies t session) then begin
     match
       admit t session ~transport:"msgq" ~origin:(origin_of t session ~transport:"msgq")
@@ -1629,12 +1626,12 @@ let sys_call t (p : Proc.t) ~framep ~rtnaddr ~m_id ~func_id =
     | Cache_deny reason ->
         session.denied_calls <- session.denied_calls + 1;
         Smod_metrics.Counter.incr m_calls_denied;
-        count_func ~denied:true ~mod_name ~func_name;
+        count_func ~denied:true session.entry func_id;
         Errno.raise_errno Errno.EACCES reason
   end;
   session.calls <- session.calls + 1;
   Smod_metrics.Counter.incr m_calls;
-  count_func ~denied:false ~mod_name ~func_name;
+  count_func ~denied:false session.entry func_id;
   let mitigation = apply_call_mitigation t p in
   let request =
     {
@@ -1841,11 +1838,8 @@ let stamp_submitted t session ring ~decide ~pre ~per_slot ~stamped0 ~limit =
         end
         else begin
           let count_slot ~denied =
-            match Registry.symbol_of_func_id session.entry func_id with
-            | Some sym ->
-                count_func ~denied ~mod_name:session.entry.Registry.image.Smof.mod_name
-                  ~func_name:sym.Smof.sym_name
-            | None -> ()
+            if func_id >= 0 && func_id < Array.length session.entry.Registry.functions then
+              count_func ~denied session.entry func_id
           in
           let verdict =
             match pre seq with

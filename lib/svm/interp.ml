@@ -50,7 +50,7 @@ let run env ~code_base ~code_len ?(entry = 0) ~args_base () =
       fetch_check addr;
       let page_off = addr land (Layout.page_size - 1) in
       let chunk = min (Layout.page_size - page_off) (code_len - !pos) in
-      Bytes.blit (Aspace.read_bytes aspace ~addr ~len:chunk) 0 out !pos chunk;
+      Aspace.read_into aspace ~addr out ~pos:!pos ~len:chunk;
       pos := !pos + chunk
     done;
     out

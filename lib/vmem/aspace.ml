@@ -322,18 +322,23 @@ let ensure_mapped t addr access =
   | None -> fault t ~addr ~access);
   Hashtbl.find t.pages vpn
 
+let read_into t ~addr buf ~pos ~len =
+  if len < 0 then raise (Bad_range "negative length");
+  if pos < 0 || pos > Bytes.length buf - len then invalid_arg "Aspace.read_into";
+  let done_ = ref 0 in
+  while !done_ < len do
+    let a = addr + !done_ in
+    let m = ensure_mapped t a Prot.Read in
+    let page_off = a land (Layout.page_size - 1) in
+    let chunk = min (Layout.page_size - page_off) (len - !done_) in
+    Bytes.blit m.frame.Phys.data page_off buf (pos + !done_) chunk;
+    done_ := !done_ + chunk
+  done
+
 let read_bytes t ~addr ~len =
   if len < 0 then raise (Bad_range "negative length");
   let out = Bytes.create len in
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    let m = ensure_mapped t a Prot.Read in
-    let page_off = a land (Layout.page_size - 1) in
-    let chunk = min (Layout.page_size - page_off) (len - !pos) in
-    Bytes.blit m.frame.Phys.data page_off out !pos chunk;
-    pos := !pos + chunk
-  done;
+  read_into t ~addr out ~pos:0 ~len;
   out
 
 let write_bytes t ~addr data =

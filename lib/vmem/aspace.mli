@@ -90,6 +90,11 @@ val obreak : t -> int -> unit
 val read_bytes : t -> addr:int -> len:int -> bytes
 (** Demand-pages via {!fault} as needed. *)
 
+val read_into : t -> addr:int -> bytes -> pos:int -> len:int -> unit
+(** [read_into t ~addr buf ~pos ~len] is {!read_bytes} written into
+    [buf] at [pos] instead of a fresh buffer, with the same Read checks.
+    Raises [Invalid_argument] if the range does not fit in [buf]. *)
+
 val write_bytes : t -> addr:int -> bytes -> unit
 val read_u8 : t -> addr:int -> int
 val write_u8 : t -> addr:int -> int -> unit

@@ -481,32 +481,43 @@ let test_registered_image_is_ciphertext () =
 
 let test_tampered_handle_text_detected () =
   (* Native symbols are integrity-checked against the registered image on
-     every call (no substituted code can run). *)
+     every call, not only the first: after one good strlen (which caches
+     the expected image), a byte of strlen's mapped stub is overwritten in
+     the handle's text frame, and the next strlen must be refused while
+     getpid, whose stub is untouched, still runs. *)
   let m = M.create ~jitter:0.0 () in
   let smod = Smod.install m () in
   ignore (Smod_libc.Seclibc.install smod ());
-  let caught = ref false in
+  let module C = Smod_libc.Seclibc.Client in
+  let first = ref (-1) and tampered_denied = ref false in
+  let pid = ref (-1) and client_pid = ref 0 in
   ignore
     (M.spawn m ~name:"client" (fun p ->
-         Crt0.run_client smod p ~module_name:"seclibc" ~version:1
-           ~credential:(cred "alice") (fun conn ->
+         client_pid := p.Proc.pid;
+         Crt0.run_client smod p ~module_name:"seclibc" ~version:1 ~credential:(cred "alice")
+           (fun conn ->
+             let ptr = C.malloc conn 8 in
+             Aspace.write_string p.Proc.aspace ~addr:ptr "hello";
+             first := C.strlen conn ptr;
              let session = Option.get (Smod.session_of_client smod ~client_pid:p.Proc.pid) in
              let handle_as = Smod.handle_aspace smod session in
-             ignore (Smod_libc.Seclibc.Client.strlen conn (Smod_libc.Seclibc.Client.malloc conn 8));
-             (* Corrupt the mapped text of 'strlen' in the handle. *)
              let sym = Option.get (Smof.find_symbol session.Smod.entry.Registry.image "strlen") in
              let addr = session.Smod.module_text_base + sym.Smof.sym_offset in
-             Aspace.protect_range handle_as ~start_addr:(Layout.page_align_down addr)
-               ~size:Layout.page_size ~prot:Prot.rwx
-             |> ignore;
-             (* protect_range requires whole entries; fall back to direct
-                page poke through a temporary writable view. *)
-             ())));
+             let text = Option.get (Aspace.find_entry handle_as addr) in
+             let size = text.Aspace.end_addr - text.Aspace.start_addr in
+             let prot = text.Aspace.prot in
+             Aspace.protect_range handle_as ~start_addr:text.Aspace.start_addr ~size
+               ~prot:Prot.rwx;
+             Aspace.write_u8 handle_as ~addr (Aspace.read_u8 handle_as ~addr lxor 0xff);
+             Aspace.protect_range handle_as ~start_addr:text.Aspace.start_addr ~size ~prot;
+             (match C.strlen conn ptr with
+             | _ -> ()
+             | exception Errno.Error (Errno.EACCES, _) -> tampered_denied := true);
+             pid := C.getpid conn)));
   M.run m;
-  ignore !caught;
-  (* Full tamper path exercised in execute integrity test below via
-     registry mutation instead. *)
-  Alcotest.(check bool) "setup ran" true true
+  Alcotest.(check int) "strlen before tampering" 5 !first;
+  Alcotest.(check bool) "tampered strlen -> EACCES" true !tampered_denied;
+  Alcotest.(check int) "getpid still runs" !client_pid !pid
 
 let test_native_integrity_check () =
   (* Swap the native binding's expected bytes by registering a module
@@ -1321,7 +1332,7 @@ let () =
         [
           tc "encrypted module executes" test_encrypted_module_executes;
           tc "registered image is ciphertext" test_registered_image_is_ciphertext;
-          tc "tamper setup" test_tampered_handle_text_detected;
+          tc "tampered stub denied" test_tampered_handle_text_detected;
           tc "native integrity check" test_native_integrity_check;
           tc "unbound native" test_unbound_native_enosys;
           tc "unmap-only removes plain copy" test_unmap_only_removes_plain_library;

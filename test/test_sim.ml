@@ -88,6 +88,35 @@ let test_clock_deterministic_across_runs () =
   in
   Alcotest.(check (float 1e-12)) "same seed same time" (run ()) (run ())
 
+(* 1000 jittered Trap_enter charges from seed 7: pins the draw order and
+   the charge expression, so the simulated clock stays bit-identical
+   whatever its representation. *)
+let test_clock_golden_total () =
+  let c = Clock.create ~seed:7L () in
+  for _ = 1 to 1000 do
+    Clock.charge c Cost.Trap_enter
+  done;
+  Alcotest.(check int64) "cycles after 1000 charges"
+    (Int64.bits_of_float 0x1.4c13aa2f8c84bp+17)
+    (Int64.bits_of_float (Clock.now_cycles c))
+
+(* The running total and the generator state are stored unboxed, so a
+   jittered charge of a constant-cost op allocates at most the boxed
+   jitter factor returned across the module boundary (and nothing once
+   the optimiser inlines it). *)
+let test_clock_charge_allocation () =
+  let c = Clock.create () in
+  Clock.charge c Cost.Msgq_send;
+  let n = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    Clock.charge c Cost.Msgq_send
+  done;
+  let per_charge = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per charge <= 2" per_charge)
+    true (per_charge <= 2.0)
+
 (* ------------------------------ trace ------------------------------- *)
 
 let test_trace_order_and_labels () =
@@ -224,6 +253,8 @@ let () =
           tc "charge_n batches" test_clock_charge_n_batches;
           tc "reset and elapsed" test_clock_reset_and_elapsed;
           tc "deterministic per seed" test_clock_deterministic_across_runs;
+          tc "golden total" test_clock_golden_total;
+          tc "charge allocation" test_clock_charge_allocation;
         ] );
       ( "trace",
         [

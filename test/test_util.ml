@@ -84,6 +84,21 @@ let test_rng_copy () =
   let b = Rng.copy a in
   Alcotest.(check int64) "copy continues identically" (Rng.next_int64 a) (Rng.next_int64 b)
 
+(* xoshiro256** from splitmix64-expanded seed 42, pinned so any change of
+   the state representation keeps the stream bit for bit. *)
+let test_rng_golden_stream () =
+  let r = Rng.create 42L in
+  let expected =
+    [
+      1546998764402558742L; 6990951692964543102L; -5902157311460992607L;
+      -1389169964527427423L; -151191095644234140L; -4247557243643801032L;
+      -5178765164775350862L; -2766855848391737209L;
+    ]
+  in
+  List.iteri
+    (fun i v -> Alcotest.(check int64) (Printf.sprintf "output %d" i) v (Rng.next_int64 r))
+    expected
+
 let test_rng_bytes () =
   let r = Rng.create 3L in
   let b = Rng.bytes r 100 in
@@ -256,6 +271,7 @@ let () =
           tc "shuffle permutes" test_rng_shuffle_permutation;
           tc "split independent" test_rng_split_independent;
           tc "copy" test_rng_copy;
+          tc "golden stream" test_rng_golden_stream;
           tc "bytes length" test_rng_bytes;
         ] );
       ( "stats",
