@@ -6,12 +6,13 @@
    per run with flags.  Baseline rows absent from the current document
    are reported as "skip" and counted — never a silent pass.
 
-   Also the trajectory viewer: --trajectory DIR reads every dated
-   snapshot under DIR and renders the headline-metric history table.
+   Also the trajectory viewer: --trajectory FILE reads a trajectory file
+   (the checked-in BENCH_TRAJECTORY.json) and renders its headline-metric
+   history table in the file's append order.
 
    Usage:
      dune exec bin/benchdiff.exe -- bench/baseline.json out.json --gates bench/gates.json
-     dune exec bin/benchdiff.exe -- --trajectory bench/baselines
+     dune exec bin/benchdiff.exe -- --trajectory BENCH_TRAJECTORY.json
 
    Exit codes: 0 gate passed / trajectory rendered; 1 regression or
    nothing compared; 2 usage or parse error. *)
@@ -99,27 +100,21 @@ let resolve_gates gates_path mean_tol p99_tol abs_eps abs_eps_for =
   end;
   g
 
-let run_trajectory dir =
-  let files =
-    match Sys.readdir dir with
-    | entries ->
-        Array.to_list entries
-        |> List.filter (fun f -> Filename.check_suffix f ".json")
-        |> List.sort compare
-    | exception Sys_error msg ->
+let run_trajectory path =
+  let entries =
+    try Trajectory.load path with
+    | Json.Parse_error msg ->
+        Printf.eprintf "benchdiff: %s: %s\n" path msg;
+        exit 2
+    | Sys_error msg ->
         Printf.eprintf "benchdiff: %s\n" msg;
         exit 2
   in
-  if files = [] then begin
-    Printf.eprintf "benchdiff: no snapshots (*.json) under %s\n" dir;
+  if entries = [] then begin
+    Printf.eprintf "benchdiff: no entries in %s\n" path;
     exit 1
   end;
-  let entries =
-    List.map
-      (fun f -> Trajectory.entry_of_doc ~snapshot:f (read_doc (Filename.concat dir f)))
-      files
-  in
-  Printf.printf "perf trajectory: %d snapshot(s) under %s\n\n%s" (List.length entries) dir
+  Printf.printf "perf trajectory: %s (%d entries)\n\n%s" path (List.length entries)
     (Trajectory.render entries)
 
 let run_compare baseline_path current_path gates =
@@ -149,7 +144,7 @@ let run_compare baseline_path current_path gates =
 let main trajectory baseline_path current_path gates_path mean_tol p99_tol abs_eps abs_eps_for
     =
   match (trajectory, baseline_path, current_path) with
-  | Some dir, None, None -> run_trajectory dir
+  | Some path, None, None -> run_trajectory path
   | Some _, _, _ ->
       Printf.eprintf "benchdiff: --trajectory takes no BASELINE/CURRENT positionals\n";
       exit 2
@@ -157,7 +152,7 @@ let main trajectory baseline_path current_path gates_path mean_tol p99_tol abs_e
       run_compare b c (resolve_gates gates_path mean_tol p99_tol abs_eps abs_eps_for)
   | None, _, _ ->
       Printf.eprintf
-        "benchdiff: need BASELINE and CURRENT paths (or --trajectory DIR); see --help\n";
+        "benchdiff: need BASELINE and CURRENT paths (or --trajectory FILE); see --help\n";
       exit 2
 
 open Cmdliner
@@ -171,11 +166,12 @@ let current =
 let trajectory =
   Arg.(
     value
-    & opt (some dir) None
-    & info [ "trajectory" ] ~docv:"DIR"
+    & opt (some file) None
+    & info [ "trajectory" ] ~docv:"FILE"
         ~doc:
-          "Render the headline-metric history across every dated snapshot (*.json) under \
-           $(docv) instead of comparing two documents.")
+          "Render the headline-metric history recorded in the trajectory file $(docv) \
+           (the checked-in $(b,BENCH_TRAJECTORY.json)), in append order, instead of \
+           comparing two documents.")
 
 let gates =
   Arg.(

@@ -433,9 +433,6 @@ let cmd_policy_status calls assertions =
       "secmodule.policy_compile_hits";
       "secmodule.policy_compile_misses";
       "secmodule.policy_compile_invalidations";
-      "policy_cache.compiled_hits";
-      "policy_cache.compiled_misses";
-      "policy_cache.compiled_inserts";
     ]
 
 (* ------------------------------- bench ----------------------------- *)
@@ -533,7 +530,7 @@ let bench_section_ids only =
 
 let load_trajectory path =
   if Sys.file_exists path then
-    try Smod_bench_kit.Trajectory.of_string (read_file path)
+    try Smod_bench_kit.Trajectory.load path
     with Smod_util.Json.Parse_error msg ->
       Printf.eprintf "smodctl: %s: %s\n" path msg;
       exit 2

@@ -177,6 +177,7 @@ let of_json j =
   List.map entry_of_json (Json.to_list (Json.member_exn "entries" j))
 
 let of_string s = of_json (Json.of_string s)
+let load path = of_string (In_channel.with_open_bin path In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
 (* History                                                             *)

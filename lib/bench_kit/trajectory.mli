@@ -34,6 +34,11 @@ val of_string : string -> entry list
 (** Raise {!Smod_util.Json.Parse_error} on malformed input or an
     unknown schema/version. *)
 
+val load : string -> entry list
+(** Read a trajectory file (the checked-in [BENCH_TRAJECTORY.json]);
+    entries come back in file order, which is append order.  Raises
+    [Sys_error] if the file cannot be read, else as {!of_string}. *)
+
 val sorted : entry list -> entry list
 (** History order: by date, entries of the same date in the order they
     were appended (a stable sort — commit hashes carry no order). *)

@@ -26,8 +26,8 @@
 
    Applying an op deliberately reuses the single-kernel invalidation
    chain: a keystore rotation fires Keystore.on_change, which flushes the
-   registry compiled caches, session memos, and — when smodd is installed
-   — the pool's decision cache, all in the same step (PR 4's guarantee,
+   registry program stores, each session's policy memo, and — when smodd
+   is installed — the pool's decision cache, all in the same step (PR 4's guarantee,
    now per shard). *)
 
 module Smod = Secmodule.Smod

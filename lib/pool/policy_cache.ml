@@ -1,6 +1,5 @@
 module Clock = Smod_sim.Clock
 module Cost = Smod_sim.Cost_model
-module Sha256 = Smod_crypto.Sha256
 
 (* Observability (lib/metrics): every probe outcome plus each way an
    entry can leave the cache — TTL expiry, capacity eviction, module
@@ -13,19 +12,10 @@ let m_expirations = Smod_metrics.Scope.counter m_scope "expirations"
 let m_evictions = Smod_metrics.Scope.counter m_scope "evictions"
 let m_invalidations = Smod_metrics.Scope.counter m_scope "invalidations"
 let m_flushes = Smod_metrics.Scope.counter m_scope "flushes"
-let m_compiled_hits = Smod_metrics.Scope.counter m_scope "compiled_hits"
-let m_compiled_misses = Smod_metrics.Scope.counter m_scope "compiled_misses"
-let m_compiled_inserts = Smod_metrics.Scope.counter m_scope "compiled_inserts"
 
 type decision = Allow | Deny of string
 
 type entry = { e_decision : decision; e_m_id : int; e_stored_us : float; e_seq : int }
-
-(* Compiled decision programs, shared across the sessions of one
-   credential: no TTL (a program is immutable and its key pins the exact
-   policy revision and keystore generation it was compiled against), FIFO
-   eviction at the same capacity as the decision table. *)
-type centry = { c_compiled : Secmodule.Policy.compiled; c_m_id : int; c_seq : int }
 
 type t = {
   clock : Clock.t;
@@ -38,8 +28,6 @@ type t = {
          invalidation and later re-stored gets a fresh seq, so eviction
          skips the old record instead of dropping the refreshed entry. *)
   mutable seq : int;
-  compiled_table : (string, centry) Hashtbl.t;
-  compiled_order : (string * int) Queue.t;
 }
 
 let create ~clock ~ttl_us ~capacity =
@@ -51,16 +39,11 @@ let create ~clock ~ttl_us ~capacity =
     table = Hashtbl.create 64;
     order = Queue.create ();
     seq = 0;
-    compiled_table = Hashtbl.create 16;
-    compiled_order = Queue.create ();
   }
 
 let ttl_us t = t.ttl_us
 let capacity t = t.cap
 let size t = Hashtbl.length t.table
-
-let credential_digest cred =
-  Bytes.to_string (Sha256.digest (Secmodule.Credential.to_bytes cred))
 
 (* Revision and generation are part of the key, not checked at lookup: a
    bumped policy or keystore simply stops producing the old key, and the
@@ -114,76 +97,18 @@ let store t ~cred_digest ~func_name ~m_id ~policy_rev ~keystore_gen decision =
     { e_decision = decision; e_m_id = m_id; e_stored_us = Clock.now_us t.clock; e_seq = seq };
   Smod_metrics.Counter.incr m_inserts
 
-(* ------------------------------------------------------------------ *)
-(* Compiled-program handles                                            *)
-(* ------------------------------------------------------------------ *)
-
-let compiled_key ~cred_digest ~m_id ~policy_rev ~keystore_gen =
-  Printf.sprintf "%s\x00%d\x00%d\x00%d" cred_digest m_id policy_rev keystore_gen
-
-let lookup_compiled t ~cred_digest ~m_id ~policy_rev ~keystore_gen =
-  (* No clock charge here: the dispatch layer charges one
-     Policy_cache_probe per session-memo miss, covering this probe and
-     the registry fallback together. *)
-  match
-    Hashtbl.find_opt t.compiled_table
-      (compiled_key ~cred_digest ~m_id ~policy_rev ~keystore_gen)
-  with
-  | Some e ->
-      Smod_metrics.Counter.incr m_compiled_hits;
-      Some e.c_compiled
-  | None ->
-      Smod_metrics.Counter.incr m_compiled_misses;
-      None
-
-let rec evict_one_compiled t =
-  match Queue.take_opt t.compiled_order with
-  | None -> ()
-  | Some (k, seq) -> (
-      match Hashtbl.find_opt t.compiled_table k with
-      | Some e when e.c_seq = seq ->
-          Hashtbl.remove t.compiled_table k;
-          Smod_metrics.Counter.incr m_evictions
-      | Some _ | None -> evict_one_compiled t)
-
-let store_compiled t ~cred_digest ~m_id ~policy_rev ~keystore_gen compiled =
-  Clock.charge t.clock Cost.Policy_cache_insert;
-  let k = compiled_key ~cred_digest ~m_id ~policy_rev ~keystore_gen in
-  let seq =
-    match Hashtbl.find_opt t.compiled_table k with
-    | Some e -> e.c_seq
-    | None ->
-        if Hashtbl.length t.compiled_table >= t.cap then evict_one_compiled t;
-        let seq = t.seq in
-        t.seq <- t.seq + 1;
-        Queue.add (k, seq) t.compiled_order;
-        seq
-  in
-  Hashtbl.replace t.compiled_table k { c_compiled = compiled; c_m_id = m_id; c_seq = seq };
-  Smod_metrics.Counter.incr m_compiled_inserts
-
-let compiled_size t = Hashtbl.length t.compiled_table
-
 let invalidate_module t ~m_id =
   let victims =
     Hashtbl.fold (fun k e acc -> if e.e_m_id = m_id then k :: acc else acc) t.table []
   in
   List.iter (Hashtbl.remove t.table) victims;
-  let cvictims =
-    Hashtbl.fold
-      (fun k e acc -> if e.c_m_id = m_id then k :: acc else acc)
-      t.compiled_table []
-  in
-  List.iter (Hashtbl.remove t.compiled_table) cvictims;
-  let n = List.length victims + List.length cvictims in
+  let n = List.length victims in
   Smod_metrics.Counter.add m_invalidations n;
   n
 
 let flush t =
-  let n = Hashtbl.length t.table + Hashtbl.length t.compiled_table in
+  let n = Hashtbl.length t.table in
   Hashtbl.reset t.table;
   Queue.clear t.order;
-  Hashtbl.reset t.compiled_table;
-  Queue.clear t.compiled_order;
   Smod_metrics.Counter.incr m_flushes;
   n

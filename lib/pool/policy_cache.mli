@@ -13,7 +13,13 @@
     credential check plus a full policy walk.  Entries expire after a TTL
     of simulated time, are evicted FIFO at capacity, and are invalidated
     explicitly when the module is removed, its policy swapped (revision
-    key), or the keystore changes (generation key + flush). *)
+    key), or the keystore changes (generation key + flush).
+
+    The credential digest is {!Secmodule.Smod.session_cred_digest}, held
+    on the session.  Compiled policy programs are not cached here: their
+    one cross-session store is the registry entry
+    ({!Secmodule.Registry.find_compiled}), fronted by each session's
+    policy memo. *)
 
 type t
 
@@ -25,10 +31,6 @@ val create : clock:Smod_sim.Clock.t -> ttl_us:float -> capacity:int -> t
 val ttl_us : t -> float
 val capacity : t -> int
 val size : t -> int
-
-val credential_digest : Secmodule.Credential.t -> string
-(** SHA-256 over the credential's canonical byte form — the cache's
-    identity for "same principal presenting the same assertions". *)
 
 val lookup :
   t ->
@@ -55,44 +57,11 @@ val store :
 (** Charges one {!Smod_sim.Cost_model.Policy_cache_insert}; evicts the
     oldest entry first when at capacity ([policy_cache.evictions]). *)
 
-(** {2 Compiled-program handles}
-
-    Decision programs ({!Secmodule.Policy.compiled}) cached pool-side, so
-    every session a credential opens — across pooled handles — reuses one
-    compilation.  Keyed by (credential digest, m_id, policy revision,
-    keystore generation); no TTL, since a program is immutable and its
-    key pins exactly the inputs it was compiled against. *)
-
-val lookup_compiled :
-  t ->
-  cred_digest:string ->
-  m_id:int ->
-  policy_rev:int ->
-  keystore_gen:int ->
-  Secmodule.Policy.compiled option
-(** Charges nothing (the dispatch layer charges one probe per
-    session-memo miss); counts [policy_cache.compiled_hits] /
-    [policy_cache.compiled_misses]. *)
-
-val store_compiled :
-  t ->
-  cred_digest:string ->
-  m_id:int ->
-  policy_rev:int ->
-  keystore_gen:int ->
-  Secmodule.Policy.compiled ->
-  unit
-(** Charges one {!Smod_sim.Cost_model.Policy_cache_insert}; FIFO-evicts
-    at [capacity]. *)
-
-val compiled_size : t -> int
-
 val invalidate_module : t -> m_id:int -> int
-(** Drop every entry for the module — cached decisions and compiled
-    programs (the [sys_smod_remove] hook).  Returns the number of entries
-    evicted; counts [policy_cache.invalidations]. *)
+(** Drop every cached decision for the module (the [sys_smod_remove]
+    hook).  Returns the number of entries evicted; counts
+    [policy_cache.invalidations]. *)
 
 val flush : t -> int
-(** Drop everything, compiled programs included (keystore change).
-    Returns the number of entries dropped; counts
-    [policy_cache.flushes]. *)
+(** Drop every cached decision (keystore change).  Returns the number of
+    entries dropped; counts [policy_cache.flushes]. *)

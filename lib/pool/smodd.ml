@@ -79,7 +79,6 @@ type t = {
   mutable total_handles : int;
   mutable total_waiters : int;  (* live (non-cancelled) queued clients *)
   cache : Policy_cache.t option;
-  cred_digests : (int, string) Hashtbl.t;  (* sid -> credential digest *)
   mutable remove_hook : (m_id:int -> unit) option;
       (* the hook registered on the Smod.t, deregistered by uninstall *)
 }
@@ -332,10 +331,6 @@ let broker t p entry credential =
   Smod_metrics.Histogram.observe m_wait_us (Clock.now_us clock -. t0);
   let sid = Smod.attach_pooled t.smod p ph ~credential in
   Smod_metrics.Counter.incr m_attaches;
-  if t.cache <> None then begin
-    if Hashtbl.length t.cred_digests > 8192 then Hashtbl.reset t.cred_digests;
-    Hashtbl.replace t.cred_digests sid (Policy_cache.credential_digest credential)
-  end;
   Some sid
 
 (* sys_smod_remove: every handle of the module dies (parked ones now,
@@ -368,26 +363,16 @@ let on_module_remove t ~m_id =
       Queue.clear mp.mp_waiters;
       pump t
 
-(* Map the kernel-side cache hooks onto the cache proper.  The digest is
-   memoised per session: the credential bytes were already hashed during
-   signature verification at establishment, so the probe itself is the
-   only per-call cost. *)
-let digest_for t (session : Smod.session) =
-  match Hashtbl.find_opt t.cred_digests session.Smod.sid with
-  | Some d -> d
-  | None ->
-      let d = Policy_cache.credential_digest session.Smod.credential in
-      if Hashtbl.length t.cred_digests > 8192 then Hashtbl.reset t.cred_digests;
-      Hashtbl.replace t.cred_digests session.Smod.sid d;
-      d
-
+(* Map the kernel-side cache hooks onto the cache proper.  The credential
+   digest is the one the session already memoises, so the probe itself is
+   the only per-call cost. *)
 let cache_hooks t cache =
   let keystore_gen () = Keystore.generation (Smod.keystore t.smod) in
   {
     Smod.cache_lookup =
       (fun session ~func_name ->
         match
-          Policy_cache.lookup cache ~cred_digest:(digest_for t session) ~func_name
+          Policy_cache.lookup cache ~cred_digest:(Smod.session_cred_digest session) ~func_name
             ~m_id:session.Smod.m_id ~policy_rev:session.Smod.entry.Registry.policy_rev
             ~keystore_gen:(keystore_gen ())
         with
@@ -401,19 +386,9 @@ let cache_hooks t cache =
           | Smod.Cache_allow -> Policy_cache.Allow
           | Smod.Cache_deny reason -> Policy_cache.Deny reason
         in
-        Policy_cache.store cache ~cred_digest:(digest_for t session) ~func_name
+        Policy_cache.store cache ~cred_digest:(Smod.session_cred_digest session) ~func_name
           ~m_id:session.Smod.m_id ~policy_rev:session.Smod.entry.Registry.policy_rev
           ~keystore_gen:(keystore_gen ()) decision);
-    Smod.compiled_lookup =
-      (fun session ->
-        Policy_cache.lookup_compiled cache ~cred_digest:(digest_for t session)
-          ~m_id:session.Smod.m_id ~policy_rev:session.Smod.entry.Registry.policy_rev
-          ~keystore_gen:(keystore_gen ()));
-    Smod.compiled_store =
-      (fun session compiled ->
-        Policy_cache.store_compiled cache ~cred_digest:(digest_for t session)
-          ~m_id:session.Smod.m_id ~policy_rev:session.Smod.entry.Registry.policy_rev
-          ~keystore_gen:(keystore_gen ()) compiled);
   }
 
 let install smod ?(config = default_config) () =
@@ -435,7 +410,6 @@ let install smod ?(config = default_config) () =
       total_handles = 0;
       total_waiters = 0;
       cache;
-      cred_digests = Hashtbl.create 64;
       remove_hook = None;
     }
   in
@@ -484,8 +458,7 @@ let uninstall t =
       ignore (unaccount t ph);
       Smod.retire_pooled_handle t.smod ph)
     victims;
-  (match t.cache with Some c -> ignore (Policy_cache.flush c) | None -> ());
-  Hashtbl.reset t.cred_digests
+  match t.cache with Some c -> ignore (Policy_cache.flush c) | None -> ()
 
 type module_status = {
   ms_m_id : int;
@@ -505,7 +478,6 @@ type status = {
   st_total_waiters : int;
   st_cache_size : int option;
   st_cache_capacity : int option;
-  st_cache_compiled : int option;
   st_ring_batches : int;
   st_ring_submits : int;
   st_ring_stale_drops : int;
@@ -548,7 +520,6 @@ let status t =
     st_total_waiters = t.total_waiters;
     st_cache_size = Option.map Policy_cache.size t.cache;
     st_cache_capacity = Option.map Policy_cache.capacity t.cache;
-    st_cache_compiled = Option.map Policy_cache.compiled_size t.cache;
     st_ring_batches = ring_counter "ring.batches";
     st_ring_submits = ring_counter "ring.submits";
     st_ring_stale_drops = ring_counter "ring.stale_drops";
@@ -570,11 +541,7 @@ let render_status t =
     (Printf.sprintf "  total: %d handle(s), %d waiter(s)" st.st_total_handles st.st_total_waiters);
   (match (st.st_cache_size, st.st_cache_capacity) with
   | Some size, Some cap ->
-      Buffer.add_string buf (Printf.sprintf "; policy cache %d/%d entries" size cap);
-      (match st.st_cache_compiled with
-      | Some n when n > 0 ->
-          Buffer.add_string buf (Printf.sprintf " (+%d compiled)" n)
-      | _ -> ())
+      Buffer.add_string buf (Printf.sprintf "; policy cache %d/%d entries" size cap)
   | _ -> Buffer.add_string buf "; policy cache disabled");
   Buffer.add_string buf
     (Printf.sprintf "; ring: %d call(s) in %d batch(es), %d stale drop(s); spin budget %d"

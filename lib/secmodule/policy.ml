@@ -167,8 +167,9 @@ let check ~clock ~now_us ~credential ~attrs policy state =
    chain verified once here instead of per call.  Non-KeyNote arms keep
    their interpreted (and stateful) evaluation — they are already a single
    counter check.  A compiled policy is valid for exactly one (credential,
-   policy revision, keystore generation) triple; the caches in
-   [Registry]/[Smod.policy_of] and [Pool.Policy_cache] key on that. *)
+   policy revision, keystore generation) triple; the registry entry's
+   program store keys on that, and each session's policy memo
+   ([Smod.policy_memo]) is stamped with the revision and generation. *)
 type compiled =
   | C_pass of t
   | C_keynote of {

@@ -32,6 +32,17 @@ type ring_state = {
   mutable r_handle_engaged : bool;
 }
 
+(* A session's compiled policy and the fused contexts armed from it, one
+   per transport that has armed one (msgq, ring, poller: [origin_transport]
+   differs per admission path), valid while the stamped (policy_rev,
+   keystore generation) pair still matches. *)
+type policy_memo = {
+  pm_rev : int;
+  pm_gen : int;
+  pm_compiled : Policy.compiled;
+  mutable pm_fused : (string * Policy.fused_ctx) list;
+}
+
 type session = {
   sid : int;
   m_id : int;
@@ -55,11 +66,7 @@ type session = {
   mux : bool;
   mutable ring : ring_state option;
   mutable cred_digest : string option;
-  mutable compiled_memo : (int * int * Policy.compiled) option;
-  mutable fused_memo : (int * int * string * Policy.fused_ctx) option;
-      (* (policy_rev, keystore_gen, transport) -> armed batch context.
-         Transport is part of the key because [origin_transport] differs
-         per admission path and one session can mix paths. *)
+  mutable policy_memo : policy_memo option;
 }
 
 (* A reusable handle co-process managed by the smodd service layer
@@ -87,8 +94,6 @@ type cached_decision = Cache_allow | Cache_deny of string
 type policy_cache_hooks = {
   cache_lookup : session -> func_name:string -> cached_decision option;
   cache_store : session -> func_name:string -> cached_decision -> unit;
-  compiled_lookup : session -> Policy.compiled option;
-  compiled_store : session -> Policy.compiled -> unit;
 }
 
 (* SQPOLL-style kernel poller (E22): one kernel daemon sweeps every live
@@ -704,66 +709,59 @@ let session_cred_digest session =
       session.cred_digest <- Some d;
       d
 
-(* The compiled program for this session's (credential, policy revision,
-   keystore generation), or [None] when compilation is off.  Steady state
-   is the per-session memo (two integer compares); a memo miss probes the
-   pool's compiled-handle table (when smodd is installed), then the
-   registry entry's cache, and only compiles — charging the one-time
-   flattening and hoisted signature checks — when both miss. *)
-let policy_of t session =
+(* The session's policy memo for the current (policy revision, keystore
+   generation), or [None] when compilation is off.  Steady state is two
+   integer compares; a stale or empty memo probes the registry entry's
+   program store — the one cross-session home for compiled policy — and
+   only compiles, charging the one-time flattening and hoisted signature
+   checks, when that misses too.  A fresh memo has no fused context
+   armed yet. *)
+let policy_memo t session =
   if not t.compile_policies then None
   else begin
     let entry = session.entry in
     let rev = entry.Registry.policy_rev in
     let gen = Keystore.generation t.keystore in
-    match session.compiled_memo with
-    | Some (r, g, c) when r = rev && g = gen -> Some c
+    match session.policy_memo with
+    | Some m when m.pm_rev = rev && m.pm_gen = gen -> Some m
     | _ ->
         let clock = Machine.clock t.machine in
         Clock.charge clock Cost.Policy_cache_probe;
+        let key =
+          Registry.compiled_key ~cred_digest:(session_cred_digest session) ~policy_rev:rev
+            ~keystore_gen:gen
+        in
         let compiled =
-          let pool_cached =
-            match t.policy_cache with
-            | Some hooks -> hooks.compiled_lookup session
-            | None -> None
-          in
-          match pool_cached with
+          match Registry.find_compiled entry key with
           | Some c ->
               Smod_metrics.Counter.incr m_compile_hits;
               c
-          | None -> (
-              let key =
-                Registry.compiled_key ~cred_digest:(session_cred_digest session)
-                  ~policy_rev:rev ~keystore_gen:gen
+          | None ->
+              let origin_env =
+                {
+                  KCompile.known_modules =
+                    List.map
+                      (fun e -> e.Registry.image.Smof.mod_name)
+                      (Registry.entries t.registry);
+                }
               in
-              match Registry.find_compiled entry key with
-              | Some c ->
-                  Smod_metrics.Counter.incr m_compile_hits;
-                  c
-              | None ->
-                  let origin_env =
-                    {
-                      KCompile.known_modules =
-                        List.map
-                          (fun e -> e.Registry.image.Smof.mod_name)
-                          (Registry.entries t.registry);
-                    }
-                  in
-                  let c =
-                    Policy.compile ~fuse:t.fuse_policies ~origin_env ~clock
-                      ~keystore:t.keystore ~credential:session.credential
-                      entry.Registry.policy
-                  in
-                  Smod_metrics.Counter.incr m_compile_misses;
-                  Registry.store_compiled entry key c;
-                  (match t.policy_cache with
-                  | Some hooks -> hooks.compiled_store session c
-                  | None -> ());
-                  c)
+              let c =
+                Policy.compile ~fuse:t.fuse_policies ~origin_env ~clock ~keystore:t.keystore
+                  ~credential:session.credential entry.Registry.policy
+              in
+              Smod_metrics.Counter.incr m_compile_misses;
+              Registry.store_compiled entry key c;
+              c
         in
-        session.compiled_memo <- Some (rev, gen, compiled);
-        Some compiled
+        let m = { pm_rev = rev; pm_gen = gen; pm_compiled = compiled; pm_fused = [] } in
+        session.policy_memo <- Some m;
+        Some m
   end
+
+(* The compiled program for this session, or [None] when compilation is
+   off. *)
+let policy_of t session =
+  match policy_memo t session with Some m -> Some m.pm_compiled | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Caller provenance                                                   *)
@@ -802,22 +800,20 @@ let origin_attr_pairs (origin : Fuse.origin) =
   ]
 
 (* The session's armed fused context for one transport, or [None] when
-   fusion is off or nothing in the compiled tree carries a plan.  The
-   snapshot survives across batches and scalar calls under the same
-   (policy revision, keystore generation, transport) — eager invalidation
-   clears it exactly where [compiled_memo] is cleared. *)
+   fusion is off or nothing in the compiled tree carries a plan.  Each
+   transport arms once per policy memo: the snapshot survives across
+   batches, scalar calls and switches between transports, and goes with
+   the memo when the policy revision or keystore generation moves. *)
 let fused_of t session ~transport =
-  if not (t.compile_policies && t.fuse_policies) then None
+  if not t.fuse_policies then None
   else
-    match policy_of t session with
+    match policy_memo t session with
     | None -> None
-    | Some compiled when not (Policy.fusible compiled) -> None
-    | Some compiled -> (
-        let rev = session.entry.Registry.policy_rev in
-        let gen = Keystore.generation t.keystore in
-        match session.fused_memo with
-        | Some (r, g, tr, ctx) when r = rev && g = gen && tr = transport -> Some ctx
-        | _ ->
+    | Some m when not (Policy.fusible m.pm_compiled) -> None
+    | Some m -> (
+        match List.assoc_opt transport m.pm_fused with
+        | Some ctx -> Some ctx
+        | None ->
             let origin = origin_of t session ~transport in
             let attrs =
               [
@@ -827,9 +823,9 @@ let fused_of t session ~transport =
               @ origin_attr_pairs origin
             in
             let ctx =
-              Policy.begin_fused ~clock:(Machine.clock t.machine) ~origin ~attrs compiled
+              Policy.begin_fused ~clock:(Machine.clock t.machine) ~origin ~attrs m.pm_compiled
             in
-            session.fused_memo <- Some (rev, gen, transport, ctx);
+            m.pm_fused <- (transport, ctx) :: m.pm_fused;
             Some ctx)
 
 (* ------------------------------------------------------------------ *)
@@ -1100,8 +1096,7 @@ let new_session ~sid ~entry ~client_pid ~handle_pid ~req_qid ~rep_qid ~credentia
     mux;
     ring = None;
     cred_digest = None;
-    compiled_memo = None;
-    fused_memo = None;
+    policy_memo = None;
   }
 
 (* Attach a new client session to a parked (or freshly spawned) pooled
@@ -1765,11 +1760,17 @@ let vector_prestamp t session ring ~transport ~stamped0 ~limit =
            verdict broadcast to every slot calling it (the decider's memo
            evaluates exactly as often); other policies one lane per slot. *)
         let key (seq, func_id, _) = if policy_cacheable then func_id else seq in
+        let seen = Hashtbl.create 16 in
         let lanes =
-          List.fold_left
-            (fun acc s ->
-              if List.exists (fun s' -> key s' = key s) acc then acc else acc @ [ s ])
-            [] slots
+          List.filter
+            (fun s ->
+              let k = key s in
+              if Hashtbl.mem seen k then false
+              else begin
+                Hashtbl.add seen k ();
+                true
+              end)
+            slots
         in
         if List.length lanes < 2 then no_pre
         else begin
@@ -2315,11 +2316,7 @@ let install machine ?keystore () =
         (fun e ->
           Smod_metrics.Counter.add m_compile_invalidations (Registry.flush_compiled e))
         (Registry.entries t.registry);
-      Hashtbl.iter
-        (fun _ s ->
-          s.compiled_memo <- None;
-          s.fused_memo <- None)
-        t.sessions_by_client);
+      Hashtbl.iter (fun _ s -> s.policy_memo <- None) t.sessions_by_client);
   Machine.register_syscall machine Sysno.smod_find ~name:"smod_find" (fun _m p args ->
       sys_find t p ~name_addr:args.(0) ~version:args.(1));
   Machine.register_syscall machine Sysno.smod_start_session ~name:"smod_start_session"

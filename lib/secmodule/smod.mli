@@ -33,6 +33,13 @@ type ring_state
     client's ring plus the two wait queues of the spin-then-block
     protocol.  Bound lazily on the first [sys_smod_call_batch]. *)
 
+type policy_memo
+(** A session's compiled policy ({!Policy.compiled}) and the fused batch
+    contexts ({!Policy.fused_ctx}) armed from it — at most one per
+    transport, msgq, ring and poller, since [origin_transport] differs per
+    admission path — stamped with the (policy_rev, keystore generation)
+    pair it was built under. *)
+
 type session = {
   sid : int;
   m_id : int;
@@ -59,17 +66,19 @@ type session = {
           process of its own, ring-only dispatch *)
   mutable ring : ring_state option;
   mutable cred_digest : string option;
-      (** lazily computed SHA-256 of the wire credential; part of every
-          compiled-program cache key *)
-  mutable compiled_memo : (int * int * Policy.compiled) option;
-      (** the session's compiled policy, valid while the stamped
-          (policy_rev, keystore generation) pair still matches *)
-  mutable fused_memo : (int * int * string * Policy.fused_ctx) option;
-      (** the armed fused-batch context, additionally keyed by transport
-          (["msgq"]/["ring"]/["poller"]) because [origin_transport]
-          differs per admission path; same invalidation discipline as
-          [compiled_memo] *)
+      (** lazily computed SHA-256 of the wire credential, read through
+          {!session_cred_digest} *)
+  mutable policy_memo : policy_memo option;
+      (** valid while its stamped (policy_rev, keystore generation) pair
+          still matches; a keystore change clears it in the same step.
+          Misses go to the registry entry's program store. *)
 }
+
+val session_cred_digest : session -> string
+(** SHA-256 over the session credential's canonical byte form
+    ({!Credential.to_bytes}), computed once per session — the identity
+    of "same principal presenting the same assertions" in every
+    compiled-program key and smodd decision-cache key. *)
 
 exception Access_denied of string
 
@@ -244,12 +253,11 @@ type cached_decision = Cache_allow | Cache_deny of string
 type policy_cache_hooks = {
   cache_lookup : session -> func_name:string -> cached_decision option;
   cache_store : session -> func_name:string -> cached_decision -> unit;
-  compiled_lookup : session -> Policy.compiled option;
-      (** probe smodd's compiled-program table — so a decision-cache miss
-          (or an uncacheable policy) still runs the compiled program
-          instead of re-verifying and re-interpreting *)
-  compiled_store : session -> Policy.compiled -> unit;
 }
+(** smodd's decision cache as the dispatch path sees it: probe and store
+    one cacheable verdict, keyed on {!session_cred_digest}.  Compiled
+    programs never go through these hooks; their one store is the
+    registry entry, behind each session's {!policy_memo}. *)
 
 val set_policy_cache : t -> policy_cache_hooks option -> unit
 (** Install smodd's policy-decision cache on the [sys_smod_call] path.
@@ -266,9 +274,9 @@ val set_policy_compile : t -> bool -> unit
     conditions lowered to opcodes — and every subsequent evaluation for
     that (credential, policy revision, keystore generation) runs the
     program at {!Smod_sim.Cost_model.Policy_compiled_op} per opcode with
-    no per-call [Cred_check].  Programs are cached per registry entry and
-    (when smodd is installed) in the pool, and are invalidated by
-    [Registry.set_policy], keystore changes and [sys_smod_remove].
+    no per-call [Cred_check].  Programs are stored once, on the registry
+    entry, fronted by each session's {!policy_memo}; they are invalidated
+    by [Registry.set_policy], keystore changes and [sys_smod_remove].
     Default: off — the interpreted path is byte-for-byte what the
     baselines measured. *)
 
@@ -281,7 +289,9 @@ val set_policy_fuse : t -> bool -> unit
     partitioned into a batch-invariant prefix and a per-slot residue,
     and every fused evaluation runs on the lane executor
     ({!Smod_keynote.Vexec}) at N >= 1 lanes.  The prefix runs once per
-    (session, policy revision, keystore generation, transport) — charged
+    (session, policy revision, keystore generation, transport) — kept in
+    the session's {!policy_memo}, so switching transports does not
+    re-arm — charged
     {!Smod_sim.Cost_model.Policy_fused_setup} plus its opcodes — and
     every admission then pays residue opcodes only.  A scalar msgq call,
     or a batch slot evaluated on its own, is one lane.  A ring batch or

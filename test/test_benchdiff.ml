@@ -266,6 +266,33 @@ let test_trajectory_same_date_append_order () =
   in
   Alcotest.(check bool) "rendered in append order" true (row "fffffff" < row "0000000")
 
+(* The path benchdiff --trajectory takes: the trajectory file is read
+   back in its append order, so same-date entries render the way they
+   were recorded, not by commit hash or snapshot name. *)
+let test_trajectory_file_renders_append_order () =
+  let at date commit = entry ~date ~commit ~snapshot:(date ^ "_" ^ commit ^ ".json") in
+  let history =
+    List.fold_left Trajectory.append []
+      [ at "2026-08-08" "fffffff"; at "2026-08-08" "0000000"; at "2026-08-01" "9999999" ]
+  in
+  let path = Filename.temp_file "trajectory" ".json" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (Trajectory.to_string history));
+  let loaded = Trajectory.load path in
+  Sys.remove path;
+  Alcotest.(check (list string)) "file order is append order"
+    [ "9999999"; "fffffff"; "0000000" ]
+    (List.map (fun (e : Trajectory.entry) -> e.Trajectory.t_commit) loaded);
+  let lines = String.split_on_char '\n' (Trajectory.render loaded) in
+  let row commit =
+    let rec find i = function
+      | [] -> Alcotest.failf "no row for %s" commit
+      | l :: rest -> if contains ~affix:commit l then i else find (i + 1) rest
+    in
+    find 0 lines
+  in
+  Alcotest.(check bool) "same-date rows in append order" true
+    (row "9999999" < row "fffffff" && row "fffffff" < row "0000000")
+
 let test_trajectory_slope () =
   (* The E9 headline is a least-squares slope over the assertion-count
      sweep; with means lying exactly on a line the fit is exact. *)
@@ -340,6 +367,8 @@ let () =
         [
           tc "ordering, idempotence, headlines" test_trajectory_ordering_and_headlines;
           tc "same-date entries keep append order" test_trajectory_same_date_append_order;
+          tc "file renders in append order"
+            test_trajectory_file_renders_append_order;
           tc "e9 least-squares slope" test_trajectory_slope;
           tc "old entries tolerate new headlines" test_trajectory_old_entries_tolerated;
         ] );

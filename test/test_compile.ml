@@ -981,8 +981,6 @@ let test_compiled_dispatch_end_to_end () =
   Alcotest.(check int) "one program cached registry-side" 1
     (Hashtbl.length entry.Registry.compiled_cache);
   Alcotest.(check int) "one compile miss" 1 entry.Registry.compile_misses;
-  let st = Smodd.status (Option.get world.World.pool) in
-  Alcotest.(check (option int)) "program cached pool-side" (Some 1) st.Smodd.st_cache_compiled;
   match Smod.policy_compile_status smod with
   | [ cs ] ->
       Alcotest.(check string) "module name" "seclibc" cs.Smod.cs_module;
@@ -1061,6 +1059,73 @@ let origin_world conds =
            attrs = [];
          })
     ()
+
+(* The registry entry is the one cross-session store for compiled
+   policy, smodd or not: a second session of the same credential finds
+   the first session's program there.  The policy reads calls_so_far, so
+   smodd's decision cache stays out of the way and every session's first
+   call reaches the program store. *)
+let test_pooled_sessions_share_registry_program () =
+  let world =
+    World.create ~pool:Smodd.default_config ~with_rpc:false
+      ~policy:(client_keynote_policy ~volatile:true ()) ()
+  in
+  Smod.set_policy_compile world.World.smod true;
+  let hits () =
+    Option.value ~default:0 (Smod_metrics.counter_value "secmodule.policy_compile_hits")
+  in
+  let hits0 = hits () in
+  let results = ref [] in
+  for i = 1 to 2 do
+    World.spawn_seclibc_client world ~name:(Printf.sprintf "session-%d" i) (fun _p conn ->
+        results := Smod_libc.Seclibc.Client.test_incr conn i :: !results);
+    World.run world
+  done;
+  Alcotest.(check (list int)) "both sessions answered" [ 3; 2 ] !results;
+  let entry = world.World.libc_entry in
+  Alcotest.(check int) "one program stored" 1 (Hashtbl.length entry.Registry.compiled_cache);
+  Alcotest.(check int) "compiled once" 1 entry.Registry.compile_misses;
+  Alcotest.(check int) "second session hit the registry" 1 entry.Registry.compile_hits;
+  Alcotest.(check int) "one compile hit counted" 1 (hits () - hits0)
+
+(* One policy memo per session, holding a fused context per transport:
+   a session alternating msgq and ring arms each transport once, and the
+   transport-gated verdicts stay the interpreted engine's. *)
+let test_one_memo_across_transports () =
+  let run ~fused =
+    let world =
+      origin_world
+        "phase == \"session\" -> \"allow\"; origin_transport == \"msgq\" && module \
+         == \"seclibc\" -> \"allow\";"
+    in
+    Smod.set_policy_compile world.World.smod fused;
+    Smod.set_policy_fuse world.World.smod fused;
+    let armed () =
+      Option.value ~default:0 (Smod_metrics.counter_value "keynote.fused_batches")
+    in
+    let armed0 = armed () in
+    let trace = ref [] in
+    World.spawn_seclibc_client world ~name:"transport-switcher" (fun _p conn ->
+        for i = 1 to 2 do
+          (match Stub.call conn ~func:"test_incr" [| i |] with
+          | v -> trace := `Msgq (Ok v) :: !trace
+          | exception Errno.Error (e, _) -> trace := `Msgq (Error e) :: !trace);
+          let rs = Stub.call_batch conn ~func:"test_incr" [ [| i |]; [| i + 1 |] ] in
+          trace :=
+            `Ring (List.map (function Ok v -> Ok v | Error (e, _) -> Error e) rs) :: !trace
+        done);
+    World.run world;
+    (List.rev !trace, armed () - armed0)
+  in
+  let interpreted, _ = run ~fused:false in
+  let fused, armed = run ~fused:true in
+  Alcotest.(check int) "msgq, ring, msgq, ring" 4 (List.length fused);
+  Alcotest.(check bool) "verdicts = interpreted engine" true (fused = interpreted);
+  (match fused with
+  | [ `Msgq (Ok 2); `Ring [ Error e; _ ]; `Msgq (Ok 3); `Ring _ ] ->
+      Alcotest.(check bool) "ring slots denied by transport" true (e = Errno.EACCES)
+  | _ -> Alcotest.fail "unexpected verdict shape");
+  Alcotest.(check int) "each transport armed once" 2 armed
 
 let test_origin_transport_gates_paths () =
   let world =
@@ -1171,7 +1236,6 @@ let test_rotation_evicts_same_step () =
   Alcotest.(check int) "program cached" 1 (Hashtbl.length entry.Registry.compiled_cache);
   let st = Smodd.status pool in
   Alcotest.(check bool) "decision cached" true (st.Smodd.st_cache_size > Some 0);
-  Alcotest.(check (option int)) "program cached pool-side" (Some 1) st.Smodd.st_cache_compiled;
   (* The rotation itself: hooks fire synchronously inside add_principal,
      so by the next statement every layer is already empty. *)
   Keystore.add_principal (Smod.keystore smod) ~name:"rotated-in" ~secret:"s";
@@ -1181,8 +1245,6 @@ let test_rotation_evicts_same_step () =
   let st = Smodd.status pool in
   Alcotest.(check (option int)) "pool decisions evicted in the same step" (Some 0)
     st.Smodd.st_cache_size;
-  Alcotest.(check (option int)) "pool programs evicted in the same step" (Some 0)
-    st.Smodd.st_cache_compiled;
   (* The world keeps working: the next session recompiles. *)
   let misses0 = world.World.libc_entry.Registry.compile_misses in
   World.spawn_seclibc_client world ~name:"after-rotation" (fun _p conn ->
@@ -1229,7 +1291,7 @@ let test_rotation_between_session_and_first_batch () =
              ~version:Smod_libc.Seclibc.version ~credential body))
   in
   (* Warm: an earlier session of the same credential leaves a compiled
-     program in both caches. *)
+     program in the registry's program store. *)
   spawn "warm" (fun conn -> ignore (Stub.call conn ~func:"test_incr" [| 1 |]));
   World.run world;
   Alcotest.(check int) "program cached before rotation" 1
@@ -1242,9 +1304,7 @@ let test_rotation_between_session_and_first_batch () =
       Keystore.add_principal ks ~name:"vendor" ~secret:"vk2";
       let st = Smodd.status pool in
       same_step_ok :=
-        Hashtbl.length entry.Registry.compiled_cache = 0
-        && st.Smodd.st_cache_size = Some 0
-        && st.Smodd.st_cache_compiled = Some 0;
+        Hashtbl.length entry.Registry.compiled_cache = 0 && st.Smodd.st_cache_size = Some 0;
       let rs = Stub.call_batch conn ~func:"test_incr" (List.init 4 (fun i -> [| i |])) in
       statuses := List.map (function Ok _ -> `Ok | Error (e, _) -> `Err e) rs);
   World.run world;
@@ -1550,6 +1610,9 @@ let () =
       ( "dispatch",
         [
           tc "end to end with caches" test_compiled_dispatch_end_to_end;
+          tc "single program store"
+            test_pooled_sessions_share_registry_program;
+          tc "one memo across transports" test_one_memo_across_transports;
           tc "batch volatile per slot" test_batch_volatile_compiled_per_slot;
           tc "batch volatile fused per slot" test_batch_volatile_fused_per_slot;
         ] );
