@@ -332,16 +332,14 @@ let cmd_policy_status calls assertions =
   in
   let smod = world.Smod_bench_kit.World.smod in
   Smod.set_policy_compile smod true;
-  Smod.set_policy_fuse smod true;
   Smod_bench_kit.World.spawn_seclibc_client world ~name:"policy-demo" (fun _p conn ->
       for i = 1 to calls do
         ignore (Smod_libc.Seclibc.Client.test_incr conn i)
       done);
   Smod_bench_kit.World.run world;
   let render () =
-    Printf.printf "policy compilation: %s, fusion: %s\n"
-      (if Smod.policy_compile_enabled smod then "on" else "off")
-      (if Smod.policy_fuse_enabled smod then "on" else "off");
+    Printf.printf "policy compilation: %s\n"
+      (if Smod.policy_compile_enabled smod then "on" else "off");
     let table =
       Smod_util.Table.create
         [ "m_id"; "module"; "policy"; "rev"; "cached"; "hits"; "misses"; "invalid"; "opcodes" ]
@@ -402,7 +400,7 @@ let cmd_policy_status calls assertions =
         | None -> ())
       (Smod.policy_compile_status smod);
     let a = Smod_keynote.Fuse.arena_stats () in
-    (* An empty arena (fusion off, or nothing planned yet) has no hit
+    (* An empty arena (compilation off, or nothing planned yet) has no hit
        rate — print "-" rather than a 0% that reads as all-misses. *)
     let hit_rate =
       match Smod_keynote.Fuse.arena_hit_rate_pct () with

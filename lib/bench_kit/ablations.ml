@@ -566,8 +566,9 @@ let compile_trial ~use_ring ~compile ~n ~batch ~rounds ~trial =
    [batch]-slot batches (amortising trap and wakeup, but still one policy
    evaluation per slot — the volatile guard forbids anything less).
    Interpreted rows pay the full KeyNote walk per slot; compiled rows pay
-   the session-memo check plus the opcode program.  Mean and p99 per
-   configuration, like E18. *)
+   the session-memo check plus the fused residue on the lane executor
+   (the invariant rungs run once, when the session's context is armed).
+   Mean and p99 per configuration, like E18. *)
 let policy_compile_dispatch ?(runner = Runner.sequential) ?(assertions = [ 1; 4; 16; 64 ])
     ?(batch = 16) ?(rounds = 100) ?(trials = 5) () =
   let configs =

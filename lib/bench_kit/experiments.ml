@@ -302,9 +302,9 @@ let sections =
     {
       s_id = "e24";
       s_title =
-        "E24: fused batch policy evaluation — one compiled pass per batch vs per-slot \
+        "E24: fused batch policy evaluation — the invariant prefix once per batch \
          (lib/keynote/fuse)";
-      s_unit = "us/call (speedup rows: x; compile mem rows: KB or x)";
+      s_unit = "us/call (compile mem rows: KB or x)";
       s_tasks = (fun ~full -> Fused_bench.task_count (e24_config ~full));
       s_dispatches = (fun ~full -> Fused_bench.dispatch_count (e24_config ~full));
       s_run =
@@ -312,15 +312,15 @@ let sections =
           Fused_bench.run ~runner ~config:(e24_config ~full) ()
           |> entries_outcome
                ~title:
-                 "E24: fused batch policy evaluation — one compiled pass per batch vs \
-                  per-slot (lib/keynote/fuse)"
-               ~unit_:"us/call (speedup rows: x; compile mem rows: KB or x)");
+                 "E24: fused batch policy evaluation — the invariant prefix once per \
+                  batch (lib/keynote/fuse)"
+               ~unit_:"us/call (compile mem rows: KB or x)");
     };
     {
       s_id = "e25";
       s_title =
         "E25: batch-major residue execution on the lane executor — one pass per opcode \
-         over all lanes vs per-slot compiled (lib/keynote/vexec)";
+         over all lanes (lib/keynote/vexec)";
       s_unit = "us/call";
       s_tasks = (fun ~full -> Vexec_bench.task_count (e25_config ~full));
       s_dispatches = (fun ~full -> Vexec_bench.dispatch_count (e25_config ~full));
@@ -330,7 +330,7 @@ let sections =
           |> entries_outcome
                ~title:
                  "E25: batch-major residue execution on the lane executor — one pass \
-                  per opcode over all lanes vs per-slot compiled (lib/keynote/vexec)"
+                  per opcode over all lanes (lib/keynote/vexec)"
                ~unit_:"us/call");
     };
   ]

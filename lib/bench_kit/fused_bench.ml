@@ -1,7 +1,7 @@
-(* E24: fused batch policy evaluation — one compiled pass per batch —
-   against per-slot compiled execution, across batch size, assertion
-   count and all three admission transports (msgq scalar calls, ring
-   batches, the E22 kernel poller).
+(* E24: fused batch policy evaluation — the batch-invariant prefix runs
+   once per batch — across batch size, assertion count and all three
+   admission transports (msgq scalar calls, ring batches, the E22 kernel
+   poller).
 
    The policy ladder mirrors E19's volatile shape but with richer
    batch-invariant guards (module identity, an origin predicate, two
@@ -10,26 +10,20 @@
    every invariant conjunct of the matching rung land in the
    batch-invariant prefix, evaluated once per batch into a node
    snapshot; the per-slot residue is the calls_so_far comparison plus
-   the root combine.  Per-slot compiled execution walks all of it every
-   slot.  The volatile guard keeps smodd's decision cache out of the
-   picture on every row, like E19.
+   the root combine.  The volatile guard keeps smodd's decision cache out
+   of the picture on every row, like E19.
 
-   Three extra row families ride along:
+   Two extra row families ride along:
 
-   - speedup ratios (perslot mean / fused mean) per cell, so the >= 3x
-     headline at ring b64 kn-16 is a first-class gated row rather than
-     arithmetic a reader does by hand;
    - the compile-memory curve: distinct-segment storage with and without
      the structural-sharing arena across 1k / 10k-assertion registries
      (shared-suffix policies, the registry steady state);
    - the origin-predicate ladder: 0..3 origin conjuncts ahead of the
      volatile term.  They share the matching assertion's segment with
-     calls_so_far, so they stay in the residue — but each costs one
-     fused F_origin_jf superop per slot against two plain opcodes on the
-     per-slot engine (the halved slope is the measured claim; whole-
-     assertion hoisting is the main ladder's job).  Plus the
-     deny-by-origin path: a transport predicate that refuses ring
-     batches outright.
+     calls_so_far, so they stay in the residue — each costs one fused
+     F_origin_jf superop per slot (whole-assertion hoisting is the main
+     ladder's job).  Plus the deny-by-origin path: a transport predicate
+     that refuses ring batches outright.
 
    Each (cell, trial) task builds a private world from coordinate-derived
    seeds, so the document is bit-identical for any job count. *)
@@ -157,11 +151,10 @@ let deny_by_transport_policy =
 (* One (cell, trial) measurement                                       *)
 (* ------------------------------------------------------------------ *)
 
-let cell_trial ~policy ~transport ~fuse ~batch ~rounds ~seed =
+let cell_trial ~policy ~transport ~batch ~rounds ~seed =
   let world = World.create ~seed:(Int64.of_int seed) ~policy ~with_rpc:false () in
   let smod = world.World.smod in
   Smod.set_policy_compile smod true;
-  Smod.set_policy_fuse smod fuse;
   (match transport with
   | Poller ->
       Smod.set_kernel_poller smod true;
@@ -194,14 +187,13 @@ let cell_trial ~policy ~transport ~fuse ~batch ~rounds ~seed =
 
 (* The deny path returns per-slot EACCES results rather than values; the
    cost of refusing a batch is the row. *)
-let deny_trial ~fuse ~batch ~rounds ~seed =
+let deny_trial ~batch ~rounds ~seed =
   let world =
     World.create ~seed:(Int64.of_int seed) ~policy:deny_by_transport_policy
       ~with_rpc:false ()
   in
   let smod = world.World.smod in
   Smod.set_policy_compile smod true;
-  Smod.set_policy_fuse smod fuse;
   let clock = Machine.clock world.World.machine in
   let mean = ref Float.nan in
   World.spawn_seclibc_client world ~name:"e24-deny" (fun _p conn ->
@@ -280,51 +272,44 @@ let memory_rows sizes =
 (* The experiment                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let engines = [ ("perslot", false); ("fused", true) ]
+(* The fused rows' world seeds carry the offset they had while a
+   per-slot engine was measured beside them, so they measure the same
+   worlds. *)
+let fused_seed_offset = 7
 
 let run ?(runner = Runner.sequential) ?(config = default_config) () =
   let main_configs =
     List.concat_map
       (fun (batch, kn) ->
-        List.concat_map
-          (fun transport ->
-            List.map (fun (ename, fuse) -> `Main (batch, kn, transport, ename, fuse)) engines)
-          [ Msgq; Ring; Poller ])
+        List.map (fun transport -> `Main (batch, kn, transport)) [ Msgq; Ring; Poller ])
       config.cells
   in
-  let origin_configs =
-    List.concat_map
-      (fun k -> List.map (fun (ename, fuse) -> `Origin (k, ename, fuse)) engines)
-      config.origin_terms
-    @ [ `Deny ]
-  in
+  let origin_configs = List.map (fun k -> `Origin k) config.origin_terms @ [ `Deny ] in
   let measure cfg ~trial =
     match cfg with
-    | `Main (batch, kn, transport, _, fuse) ->
+    | `Main (batch, kn, transport) ->
         let seed =
           24_000 + (1009 * trial) + (17 * batch) + (3 * kn)
           + (match transport with Msgq -> 0 | Ring -> 1 | Poller -> 2)
-          + if fuse then 7 else 0
+          + fused_seed_offset
         in
-        cell_trial ~policy:(ladder_policy kn) ~transport ~fuse ~batch
-          ~rounds:config.rounds ~seed
-    | `Origin (k, _, fuse) ->
-        let seed = 24_700 + (1009 * trial) + (11 * k) + if fuse then 7 else 0 in
-        cell_trial ~policy:(origin_ladder_policy k) ~transport:Ring ~fuse ~batch:16
+        cell_trial ~policy:(ladder_policy kn) ~transport ~batch ~rounds:config.rounds ~seed
+    | `Origin k ->
+        let seed = 24_700 + (1009 * trial) + (11 * k) + fused_seed_offset in
+        cell_trial ~policy:(origin_ladder_policy k) ~transport:Ring ~batch:16
           ~rounds:config.rounds ~seed
     | `Deny ->
         let seed = 24_900 + (1009 * trial) in
-        (deny_trial ~fuse:true ~batch:16 ~rounds:config.rounds ~seed, Float.nan)
+        (deny_trial ~batch:16 ~rounds:config.rounds ~seed, Float.nan)
   in
   let results =
     Ablations.map_trials runner ~trials:config.trials (main_configs @ origin_configs)
       measure
   in
-  let mean_of pairs = Stats.mean (Array.map fst pairs) in
   let label_of = function
-    | `Main (batch, kn, transport, ename, _) ->
-        Printf.sprintf "%s b%d kn-%d %s" (transport_name transport) batch kn ename
-    | `Origin (k, ename, _) -> Printf.sprintf "origin-%d ring b16 %s" k ename
+    | `Main (batch, kn, transport) ->
+        Printf.sprintf "%s b%d kn-%d fused" (transport_name transport) batch kn
+    | `Origin k -> Printf.sprintf "origin-%d ring b16 fused" k
     | `Deny -> "origin deny ring b16 fused"
   in
   let measured =
@@ -340,37 +325,14 @@ let run ?(runner = Runner.sequential) ?(config = default_config) () =
             ])
       results
   in
-  (* Speedup ratios: perslot mean / fused mean per (transport, batch, kn)
-     cell — the gateable headline rows. *)
-  let ratios =
-    List.concat_map
-      (fun (batch, kn) ->
-        List.map
-          (fun transport ->
-            let find ename =
-              List.assoc (`Main (batch, kn, transport, ename, List.assoc ename engines))
-                results
-            in
-            let perslot = mean_of (find "perslot") and fused = mean_of (find "fused") in
-            Ablations.
-              {
-                label =
-                  Printf.sprintf "%s b%d kn-%d speedup (ratio)"
-                    (transport_name transport) batch kn;
-                mean_us = perslot /. fused;
-                stdev_us = 0.0;
-              })
-          [ Msgq; Ring; Poller ])
-      config.cells
-  in
-  measured @ ratios @ memory_rows config.mem_sizes
+  measured @ memory_rows config.mem_sizes
 
 let task_count config =
-  let mains = 6 * List.length config.cells in
-  let origins = (2 * List.length config.origin_terms) + 1 in
+  let mains = 3 * List.length config.cells in
+  let origins = List.length config.origin_terms + 1 in
   (mains + origins) * config.trials
 
 let dispatch_count config =
-  let per_round = List.fold_left (fun acc (b, _) -> acc + b) 0 config.cells * 6 in
-  let origin_per_round = 16 * ((2 * List.length config.origin_terms) + 1) in
+  let per_round = List.fold_left (fun acc (b, _) -> acc + b) 0 config.cells * 3 in
+  let origin_per_round = 16 * (List.length config.origin_terms + 1) in
   (per_round + origin_per_round) * (config.rounds + 1) * config.trials

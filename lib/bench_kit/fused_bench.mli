@@ -1,11 +1,9 @@
-(** E24: fused batch policy evaluation vs per-slot compiled execution.
+(** E24: fused batch policy evaluation.
 
     Measures the {!Smod_keynote.Fuse} engine across batch size, assertion
     count and all three admission transports (msgq scalar, ring batch,
-    kernel poller), emits per-cell speedup-ratio rows (the >= 3x headline
-    at ring b64 kn-16 is a gated row), the structural-sharing
-    compile-memory curve, and the origin-predicate ladder with its
-    deny-by-origin path. *)
+    kernel poller), the structural-sharing compile-memory curve, and the
+    origin-predicate ladder with its deny-by-origin path. *)
 
 type config = {
   cells : (int * int) list;  (** (batch, assertions) measurement cells *)

@@ -1,14 +1,13 @@
 (* E25: batch-major residue execution — the lane executor running one
-   pass per opcode over all N lanes — against per-slot compiled
-   execution, across batch size, assertion count and both batched
-   admission transports (ring trap, E22 kernel poller; msgq admits one
-   call per trap and has no batch row).
+   pass per opcode over all N lanes — across batch size, assertion count
+   and both batched admission transports (ring trap, E22 kernel poller;
+   msgq admits one call per trap and has no batch row).
 
-   The "vectorized" engine is simply compile + fuse: with fusion on,
-   every fused evaluation runs on the lane executor, batch-major whenever
-   the batch is eligible (Policy.vector_eligible, at least two lanes,
-   at least two distinct functions for a cacheable policy).  Batch 1 is
-   therefore the one-lane path.
+   The "vectorized" rows are simply compile on: every compiled
+   evaluation runs on the lane executor, batch-major whenever the batch
+   is eligible (Policy.vector_eligible, at least two lanes, at least two
+   distinct functions for a cacheable policy).  Batch 1 is therefore the
+   one-lane path.
 
    The E24 ladder is useless here: its matching rung reads calls_so_far,
    which makes lane k's input depend on how many earlier lanes were
@@ -20,14 +19,13 @@
    lane executor walks the full ladder once per batch at ceil(live/W)
    units per pass — the lane-width discount is the measured claim.
 
-   The ladder is a pure function of [function] (cacheable), so both the
-   per-slot decider's batch memo and the batch-major pre-pass evaluate
-   once per distinct function.  A single-function batch would therefore
-   measure 1 evaluation vs 1 evaluation.  The bench registers its own
-   128-function module ("vecmod": 64 allow-family vf_nn, 64 deny-family
-   xf_nn) and gives every slot a distinct function via
-   {!Stub.call_batch_funcs}, so a batch of 64 is 64 genuine evaluations
-   on the per-slot engine and one batch-major run on the lane executor.
+   The ladder is a pure function of [function] (cacheable), so the
+   batch-major pre-pass evaluates once per distinct function, and a
+   single-function batch would fall back to the decider's per-batch memo
+   (one lane).  The bench registers its own 128-function module
+   ("vecmod": 64 allow-family vf_nn, 64 deny-family xf_nn) and gives
+   every slot a distinct function via {!Stub.call_batch_funcs}, so a
+   batch of 64 is one batch-major run over 64 lanes.
 
    The divergence ladder rides along: X% of a 64-slot batch calls
    deny-family functions (function < "x" fails), which fail the matching
@@ -48,10 +46,6 @@ open Secmodule
 type transport = Ring | Poller
 
 let transport_name = function Ring -> "ring" | Poller -> "poller"
-
-type engine = Perslot | Vector
-
-let engine_name = function Perslot -> "perslot" | Vector -> "vectorized"
 
 type config = {
   cells : (int * int) list;  (* (batch, assertions) *)
@@ -134,12 +128,6 @@ let ladder_policy ?(matching_guard = "function != \"__none\"") n =
 (* One (cell, trial) measurement                                       *)
 (* ------------------------------------------------------------------ *)
 
-let set_engine smod = function
-  | Perslot -> Smod.set_policy_compile smod true
-  | Vector ->
-      Smod.set_policy_compile smod true;
-      Smod.set_policy_fuse smod true
-
 (* [deny_pct] of the batch calls deny-family functions, interleaved
    (i mod 4 spread) so divergence is within every ring chunk rather than
    a prefix. *)
@@ -151,10 +139,10 @@ let batch_calls conn ~batch ~deny_pct =
       | Some id -> (id, [| i |])
       | None -> invalid_arg ("vexec_bench: no symbol " ^ name))
 
-let cell_trial ~policy ~transport ~engine ~batch ~deny_pct ~rounds ~seed =
+let cell_trial ~policy ~transport ~batch ~deny_pct ~rounds ~seed =
   let world = World.create ~seed:(Int64.of_int seed) ~with_rpc:false () in
   let smod = world.World.smod in
-  set_engine smod engine;
+  Smod.set_policy_compile smod true;
   (match transport with
   | Poller ->
       Smod.set_kernel_poller smod true;
@@ -190,51 +178,41 @@ let cell_trial ~policy ~transport ~engine ~batch ~deny_pct ~rounds ~seed =
 (* The experiment                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let engines = [ Perslot; Vector ]
-let div_engines = [ Vector ]
-
-(* Seed offsets predate the removal of a third engine (offset 7); kept so
-   the remaining rows measure the same worlds. *)
-let engine_offset = function Perslot -> 0 | Vector -> 14
+(* Seed offset of the vectorized rows, kept from when other engines were
+   measured beside them so the rows measure the same worlds. *)
+let vector_seed_offset = 14
 
 let run ?(runner = Runner.sequential) ?(config = default_config) () =
   let main_configs =
     List.concat_map
       (fun (batch, kn) ->
-        List.concat_map
-          (fun transport -> List.map (fun e -> `Main (batch, kn, transport, e)) engines)
-          [ Ring; Poller ])
+        List.map (fun transport -> `Main (batch, kn, transport)) [ Ring; Poller ])
       config.cells
   in
-  let div_configs =
-    List.concat_map
-      (fun pct -> List.map (fun e -> `Div (pct, e)) div_engines)
-      config.divergence
-  in
+  let div_configs = List.map (fun pct -> `Div pct) config.divergence in
   let measure cfg ~trial =
     match cfg with
-    | `Main (batch, kn, transport, engine) ->
+    | `Main (batch, kn, transport) ->
         let seed =
           25_000 + (1009 * trial) + (17 * batch) + (3 * kn)
           + (match transport with Ring -> 0 | Poller -> 1)
-          + engine_offset engine
+          + vector_seed_offset
         in
-        cell_trial ~policy:(ladder_policy kn) ~transport ~engine ~batch ~deny_pct:0
+        cell_trial ~policy:(ladder_policy kn) ~transport ~batch ~deny_pct:0
           ~rounds:config.rounds ~seed
-    | `Div (pct, engine) ->
-        let seed = 25_800 + (1009 * trial) + pct + engine_offset engine in
+    | `Div pct ->
+        let seed = 25_800 + (1009 * trial) + pct + vector_seed_offset in
         cell_trial
           ~policy:(ladder_policy ~matching_guard:"function < \"x\"" 16)
-          ~transport:Ring ~engine ~batch:64 ~deny_pct:pct ~rounds:config.rounds ~seed
+          ~transport:Ring ~batch:64 ~deny_pct:pct ~rounds:config.rounds ~seed
   in
   let results =
     Ablations.map_trials runner ~trials:config.trials (main_configs @ div_configs) measure
   in
   let label_of = function
-    | `Main (batch, kn, transport, e) ->
-        Printf.sprintf "%s b%d kn-%d %s" (transport_name transport) batch kn
-          (engine_name e)
-    | `Div (pct, e) -> Printf.sprintf "div-%d ring b64 kn-16 %s" pct (engine_name e)
+    | `Main (batch, kn, transport) ->
+        Printf.sprintf "%s b%d kn-%d vectorized" (transport_name transport) batch kn
+    | `Div pct -> Printf.sprintf "div-%d ring b64 kn-16 vectorized" pct
   in
   List.concat_map
     (fun (cfg, pairs) ->
@@ -246,13 +224,9 @@ let run ?(runner = Runner.sequential) ?(config = default_config) () =
     results
 
 let task_count config =
-  ((List.length engines * 2 * List.length config.cells)
-  + (List.length div_engines * List.length config.divergence))
-  * config.trials
+  ((2 * List.length config.cells) + List.length config.divergence) * config.trials
 
 let dispatch_count config =
-  let main_per_round =
-    List.fold_left (fun acc (b, _) -> acc + b) 0 config.cells * List.length engines * 2
-  in
-  let div_per_round = 64 * List.length div_engines * List.length config.divergence in
+  let main_per_round = List.fold_left (fun acc (b, _) -> acc + b) 0 config.cells * 2 in
+  let div_per_round = 64 * List.length config.divergence in
   (main_per_round + div_per_round) * (config.rounds + 1) * config.trials

@@ -9,10 +9,12 @@
     is ignored here (callers hoist verification — see
     [Secmodule.Policy.compile]), and every condition guard is lowered to a
     compact postfix opcode array with jump-based short-circuit [&&]/[||].
-    [run] then evaluates the program with a tight interpreter loop whose
-    per-opcode cost is charged by callers as
-    [Cost_model.Policy_compiled_op] — tens of cycles instead of the 420
-    cycles of [Keynote_assertion_eval].
+    [run] then evaluates the program with a tight interpreter loop, tens
+    of cycles per opcode instead of the 420 cycles of
+    [Keynote_assertion_eval].  No dispatch path calls [run]: the kernel
+    lowers every program further ([Fuse.plan]) and executes it on the
+    lane executor ([Vexec]); [run] is the reference the differential
+    tests compare both against.
 
     [run] computes exactly the verdict [Eval.query] would return for the
     same [(policy, credentials, requesters, levels)] and any [attrs]
@@ -59,8 +61,8 @@ type outcome = {
   level : string;  (** [levels.(index)] *)
   index : int;
   ops : int;
-      (** opcodes the interpreter executed — the cost driver callers
-          multiply by [Cost_model.Policy_compiled_op] *)
+      (** opcodes the interpreter executed — the bound the differential
+          tests hold the lane executor's one-lane unit count to *)
 }
 
 type origin_env = { known_modules : string list }

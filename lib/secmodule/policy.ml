@@ -163,8 +163,9 @@ let check ~clock ~now_us ~credential ~attrs policy state =
 (* Compiled policies                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* KeyNote arms flattened into decision programs, with the credential
-   chain verified once here instead of per call.  Non-KeyNote arms keep
+(* KeyNote arms flattened into decision programs and lowered into fused
+   batch plans, with the credential chain verified once here instead of
+   per call.  Non-KeyNote arms keep
    their interpreted (and stateful) evaluation — they are already a single
    counter check.  A compiled policy is valid for exactly one (credential,
    policy revision, keystore generation) triple; the registry entry's
@@ -174,7 +175,7 @@ type compiled =
   | C_pass of t
   | C_keynote of {
       program : Compile.t;
-      plan : Fuse.t option;  (* fused lowering, built when the kernel opts in *)
+      plan : Fuse.t;
       min_index : int;
       min_level : string;
       static_attrs : (string * string) list;
@@ -186,7 +187,7 @@ type compiled =
 let m_policy_compiles = Smod_metrics.Scope.counter m_scope "policy_compiles"
 let m_policy_compile_denials = Smod_metrics.Scope.counter m_scope "policy_compile_denials"
 
-let compile ?(fuse = false) ?origin_env ~clock ~keystore ~credential policy =
+let compile ?origin_env ~clock ~keystore ~credential policy =
   Smod_metrics.Counter.incr m_policy_compiles;
   (* Hoisted credential-chain verification: one signature check per
      credential assertion now, none per call. *)
@@ -218,10 +219,7 @@ let compile ?(fuse = false) ?origin_env ~clock ~keystore ~credential policy =
                 in
                 find 0
               in
-              let plan =
-                if fuse then Some (Fuse.plan program ~varying:batch_varying_attrs)
-                else None
-              in
+              let plan = Fuse.plan program ~varying:batch_varying_attrs in
               C_keynote { program; plan; min_index; min_level; static_attrs; policy = p }
           | Error reason ->
               Smod_metrics.Counter.incr m_policy_compile_denials;
@@ -232,53 +230,15 @@ let compile ?(fuse = false) ?origin_env ~clock ~keystore ~credential policy =
   in
   arm policy
 
-let rec check_compiled_inner ~clock ~now_us ~credential ~attrs compiled state =
-  match (compiled, state) with
-  | C_pass p, s -> check_inner ~clock ~now_us ~credential ~attrs p s
-  | C_keynote { program; min_index; min_level; static_attrs; policy; plan = _ }, S_none -> (
-      let outcome = Compile.run program ~attrs:(attrs @ static_attrs) in
-      Clock.charge_n clock Cost.Policy_compiled_op outcome.Compile.ops;
-      match outcome.Compile.index >= min_index with
-      | true -> Ok ()
-      | false ->
-          deny policy
-            (Printf.sprintf "keynote compliance %S below required %S"
-               outcome.Compile.level min_level))
-  | C_deny { reason; policy }, _ ->
-      Clock.charge clock Cost.Policy_compiled_op;
-      deny policy reason
-  | C_all (cs, policy), S_list states ->
-      let rec all cs states =
-        match (cs, states) with
-        | [], [] -> Ok ()
-        | c :: cs', s :: ss' -> (
-            match check_compiled_inner ~clock ~now_us ~credential ~attrs c s with
-            | Ok () -> all cs' ss'
-            | Error _ as e -> e)
-        | _ -> deny policy "policy/state shape mismatch"
-      in
-      all cs states
-  | C_keynote { policy; _ }, _ | C_all (_, policy), _ ->
-      deny policy "policy/state shape mismatch"
-
-let check_compiled ~clock ~now_us ~credential ~attrs compiled state =
-  Smod_metrics.Counter.incr m_policy_checks;
-  match check_compiled_inner ~clock ~now_us ~credential ~attrs compiled state with
-  | Ok () as ok -> ok
-  | Error _ as e ->
-      Smod_metrics.Counter.incr m_policy_denials;
-      e
-
 (* ------------------------------------------------------------------ *)
 (* Fused batch checking                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A fused context is a compiled tree armed for one batch: every planned
-   KeyNote arm carries the snapshot its batch-invariant prefix produced.
+(* A fused context is a compiled tree armed for one batch: every KeyNote
+   arm carries the snapshot its batch-invariant prefix produced.
    Stateful arms ([C_pass] quotas, rate limits) keep their per-slot
    interpreted evaluation — batching must not change when a quota
-   decrements.  Arms compiled without a plan (fusion off at compile time)
-   fall back to per-slot [Compile.run], so a context is always total. *)
+   decrements. *)
 type fused_ctx =
   | FC_pass of t
   | FC_keynote of {
@@ -289,16 +249,10 @@ type fused_ctx =
       static_attrs : (string * string) list;
       policy : t;
     }
-  | FC_slow of compiled  (* no plan: per-slot compiled execution *)
   | FC_deny of { reason : string; policy : t }
   | FC_all of fused_ctx list * t
 
-let rec fusible = function
-  | C_keynote { plan = Some _; _ } -> true
-  | C_all (cs, _) -> List.exists fusible cs
-  | C_pass _ | C_keynote { plan = None; _ } | C_deny _ -> false
-
-(* Arm the compiled tree for a batch: run each planned arm's invariant
+(* Arm the compiled tree for a batch: run each KeyNote arm's invariant
    prefix once, charging the amortized setup ([Policy_fused_setup] plus
    the prefix opcodes) to the caller — the per-slot loop then pays only
    residue opcodes.  [attrs] are the batch-invariant attributes (module,
@@ -307,8 +261,7 @@ let begin_fused ~clock ~origin ~attrs compiled =
   let rec arm = function
     | C_pass p -> FC_pass p
     | C_deny { reason; policy } -> FC_deny { reason; policy }
-    | C_keynote { plan = None; _ } as c -> FC_slow c
-    | C_keynote { plan = Some plan; min_index; min_level; static_attrs; policy; _ } ->
+    | C_keynote { plan; min_index; min_level; static_attrs; policy; _ } ->
         Clock.charge clock Cost.Policy_fused_setup;
         let snapshot = Vexec.begin_batch plan ~origin ~attrs:(attrs @ static_attrs) in
         Clock.charge_n clock Cost.Policy_compiled_op snapshot.Vexec.s_setup_ops;
@@ -339,8 +292,7 @@ let begin_fused ~clock ~origin ~attrs compiled =
      lanes' overall verdicts — so it stays one lane at a time;
    - clock-dependent arms ([Rate_limit], [Time_window]) are excluded
      because arm-major charge reordering shifts [now_us] at evaluation
-     relative to slot-by-slot evaluation;
-   - unplanned arms ([FC_slow]) have no residue to run.
+     relative to slot-by-slot evaluation.
 
    An ineligible tree is evaluated one lane per slot — the dispatcher
    falls back wholesale, never per arm. *)
@@ -351,7 +303,6 @@ let rec vector_eligible = function
   | FC_pass (Always_allow | Session_lifetime | Call_quota _) -> true
   | FC_pass _ -> false
   | FC_keynote { plan; _ } -> not (Fuse.residue_reads plan volatile_attrs)
-  | FC_slow _ -> false
   | FC_deny _ -> true
   | FC_all (cs, _) -> List.for_all vector_eligible cs
 
@@ -371,17 +322,6 @@ let check_vector ~clock ~now_us ~credential ~(lanes : vector_lane array) ctx sta
           (fun k lane ->
             if alive.(k) then
               match check_inner ~clock ~now_us ~credential ~attrs:lane.vl_attrs p s with
-              | Ok () -> ()
-              | Error d -> kill k d)
-          lanes
-    | FC_slow c, s ->
-        (* Unplanned arm: per-lane compiled execution. *)
-        Array.iteri
-          (fun k lane ->
-            if alive.(k) then
-              match
-                check_compiled_inner ~clock ~now_us ~credential ~attrs:lane.vl_attrs c s
-              with
               | Ok () -> ()
               | Error d -> kill k d)
           lanes
@@ -520,8 +460,8 @@ let compiled_stats compiled =
         acc.opcode_counts;
   }
 
-(* Merged fusion statistics over every planned KeyNote arm; [None] when
-   nothing in the tree was compiled with fusion on. *)
+(* Merged fusion statistics over every KeyNote arm's plan; [None] when
+   the tree has no compiled KeyNote arm. *)
 let fusion_stats compiled =
   let merge_assoc a b =
     List.fold_left
@@ -542,11 +482,11 @@ let fusion_stats compiled =
       }
   in
   let rec fold acc = function
-    | C_keynote { plan = Some plan; _ } -> (
+    | C_keynote { plan; _ } -> (
         let s = Fuse.stats plan in
         match acc with None -> Some s | Some a -> Some (add a s))
     | C_all (cs, _) -> List.fold_left fold acc cs
-    | C_pass _ | C_keynote { plan = None; _ } | C_deny _ -> acc
+    | C_pass _ | C_deny _ -> acc
   in
   match fold None compiled with
   | None -> None

@@ -47,13 +47,14 @@ val check :
 type compiled
 (** A policy compiled for one (credential, policy revision, keystore
     generation) triple: KeyNote arms flattened into decision programs
-    ([Smod_keynote.Compile]) with the credential's signature chain
-    verified once at compile time; counter-style arms keep their
-    interpreted per-call check.  Kernel-side only — a compiled policy is
-    never serialized into client-shared memory. *)
+    ([Smod_keynote.Compile]) and lowered into fused batch plans
+    ([Smod_keynote.Fuse]), with the credential's signature chain verified
+    once at compile time; counter-style arms keep their interpreted
+    per-call check.  Kernel-side only — a compiled policy is never
+    serialized into client-shared memory.  It runs only through
+    {!begin_fused} and {!check_vector}. *)
 
 val compile :
-  ?fuse:bool ->
   ?origin_env:Smod_keynote.Compile.origin_env ->
   clock:Smod_sim.Clock.t ->
   keystore:Smod_keynote.Keystore.t ->
@@ -68,35 +69,16 @@ val compile :
     [origin_env] is supplied, an origin predicate naming an unknown
     module, ring, or transport) yields a policy that denies every call
     with the reason recorded — EACCES at the dispatch layer, not a
-    crash.  [fuse] additionally lowers each KeyNote arm into a fused
-    batch plan ({!Smod_keynote.Fuse}) partitioned against
-    {!batch_varying_attrs}; planning is folded into the compile charge. *)
-
-val check_compiled :
-  clock:Smod_sim.Clock.t ->
-  now_us:float ->
-  credential:Credential.t ->
-  attrs:(string * string) list ->
-  compiled ->
-  state ->
-  (unit, denial) result
-(** The compiled counterpart of {!check}: same verdicts over the same
-    [state] (asserted by test/test_compile.ml), but KeyNote arms charge
-    {!Smod_sim.Cost_model.Policy_compiled_op} per executed opcode instead
-    of 420-cycle assertion evaluations, and no per-call credential
-    revalidation is needed (the chain was pre-verified). *)
+    crash.  Each KeyNote arm's fused batch plan ({!Smod_keynote.Fuse})
+    is partitioned against {!batch_varying_attrs}; planning is folded
+    into the compile charge. *)
 
 type fused_ctx
-(** A compiled policy armed for one batch: every fused KeyNote arm
-    carries the node snapshot its batch-invariant prefix produced.  Valid
-    exactly as long as the compiled policy it was built from — the
-    dispatcher caches it under the same (policy revision, keystore
-    generation) key, further split by transport because the origin
-    differs per path. *)
-
-val fusible : compiled -> bool
-(** True when at least one KeyNote arm carries a fused plan (i.e. was
-    compiled with [~fuse:true]). *)
+(** A compiled policy armed for one batch: every KeyNote arm carries the
+    node snapshot its batch-invariant prefix produced.  Valid exactly as
+    long as the compiled policy it was built from — the dispatcher caches
+    it under the same (policy revision, keystore generation) key, further
+    split by transport because the origin differs per path. *)
 
 val begin_fused :
   clock:Smod_sim.Clock.t ->
@@ -104,7 +86,7 @@ val begin_fused :
   attrs:(string * string) list ->
   compiled ->
   fused_ctx
-(** Run every fused arm's batch-invariant prefix once, charging
+(** Run every KeyNote arm's batch-invariant prefix once, charging
     {!Smod_sim.Cost_model.Policy_fused_setup} plus one
     {!Smod_sim.Cost_model.Policy_compiled_op} per prefix opcode.  [attrs]
     are the batch-invariant attributes (module, phase, origin pairs). *)
@@ -119,10 +101,10 @@ type vector_lane = {
 val vector_eligible : fused_ctx -> bool
 (** True when N >= 2 lanes of the armed tree can share one batch-major
     pass with verdicts, state transitions, and total charge order all
-    matching one-lane-per-slot evaluation: every KeyNote arm is planned
-    and its residue reads no volatile attribute (a [calls_so_far] read
-    makes lane k's input depend on earlier lanes' verdicts), and no arm
-    is clock-dependent ([Rate_limit]/[Time_window] — arm-major evaluation
+    matching one-lane-per-slot evaluation: no KeyNote arm's residue
+    reads a volatile attribute (a [calls_so_far] read makes lane k's
+    input depend on earlier lanes' verdicts), and no arm is
+    clock-dependent ([Rate_limit]/[Time_window] — arm-major evaluation
     would shift [now_us] at their evaluation points).  Quota arms are
     fine: the alive-mask discipline reproduces their counter order
     exactly.  A single lane is always eligible. *)
@@ -135,7 +117,7 @@ val check_vector :
   fused_ctx ->
   state ->
   (unit, denial) result array
-(** The fused check, over one lane (a scalar call or one slot) or a
+(** The compiled check, over one lane (a scalar call or one slot) or a
     whole batch.  Evaluates arm-major: each arm of the fused tree runs
     over all still-alive lanes before the next arm, KeyNote arms through
     the lane executor {!Smod_keynote.Vexec} (charging
@@ -144,9 +126,12 @@ val check_vector :
     in lane order.  Returns one verdict per lane, positionally; on a
     {!vector_eligible} tree that is the verdict, against the same
     [state], that one-lane calls in lane order would return — and at
-    N = 1 the same verdict as {!check_compiled} and {!check} — asserted
-    by the differential in test/test_compile.ml.  Stays total on
-    ineligible trees. *)
+    N = 1 the same verdict as {!check} — asserted by the differential in
+    test/test_compile.ml.  KeyNote arms charge
+    {!Smod_sim.Cost_model.Policy_vector_op} units instead of 420-cycle
+    assertion evaluations, and no per-call credential revalidation is
+    needed (the chain was pre-verified).  Stays total on ineligible
+    trees. *)
 
 type compiled_stats = {
   programs : int;  (** KeyNote arms compiled to decision programs *)
@@ -166,9 +151,9 @@ val compiled_stats : compiled -> compiled_stats
 (** Introspection for [smodctl policy status]. *)
 
 val fusion_stats : compiled -> Smod_keynote.Fuse.stats option
-(** Merged fusion statistics over every planned KeyNote arm — superop
+(** Merged fusion statistics over every KeyNote arm's plan — superop
     mix, batch-invariant prefix fraction inputs — or [None] when the
-    policy was compiled without fusion. *)
+    policy has no compiled KeyNote arm. *)
 
 val batch_varying_attrs : string list
 (** Action attributes that differ slot to slot within one batch

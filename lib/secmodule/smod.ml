@@ -170,7 +170,6 @@ type t = {
   mutable policy_cache : policy_cache_hooks option;
   mutable remove_hooks : (m_id:int -> unit) list;
   mutable compile_policies : bool;
-  mutable fuse_policies : bool;
   mutable dispatch_gate : (unit -> unit) option;
   mutable spin_budget : int;
   mutable poller : poller option;
@@ -250,9 +249,6 @@ let call_fast_path t = t.fast_path
 let set_dispatch_gate t gate = t.dispatch_gate <- gate
 let set_policy_compile t b = t.compile_policies <- b
 let policy_compile_enabled t = t.compile_policies
-
-let set_policy_fuse t b = t.fuse_policies <- b
-let policy_fuse_enabled t = t.fuse_policies
 let toctou_mitigation t = t.toctou
 
 (* Where module images land inside the handle's address space: text below
@@ -746,7 +742,7 @@ let policy_memo t session =
                 }
               in
               let c =
-                Policy.compile ~fuse:t.fuse_policies ~origin_env ~clock ~keystore:t.keystore
+                Policy.compile ~origin_env ~clock ~keystore:t.keystore
                   ~credential:session.credential entry.Registry.policy
               in
               Smod_metrics.Counter.incr m_compile_misses;
@@ -757,11 +753,6 @@ let policy_memo t session =
         session.policy_memo <- Some m;
         Some m
   end
-
-(* The compiled program for this session, or [None] when compilation is
-   off. *)
-let policy_of t session =
-  match policy_memo t session with Some m -> Some m.pm_compiled | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Caller provenance                                                   *)
@@ -800,33 +791,28 @@ let origin_attr_pairs (origin : Fuse.origin) =
   ]
 
 (* The session's armed fused context for one transport, or [None] when
-   fusion is off or nothing in the compiled tree carries a plan.  Each
-   transport arms once per policy memo: the snapshot survives across
-   batches, scalar calls and switches between transports, and goes with
-   the memo when the policy revision or keystore generation moves. *)
+   compilation is off.  Every compiled tree is armed, KeyNote-free ones
+   included.  Each transport arms once per policy memo: the snapshot
+   survives across batches, scalar calls and switches between
+   transports, and goes with the memo when the policy revision or
+   keystore generation moves. *)
 let fused_of t session ~transport =
-  if not t.fuse_policies then None
-  else
-    match policy_memo t session with
-    | None -> None
-    | Some m when not (Policy.fusible m.pm_compiled) -> None
-    | Some m -> (
-        match List.assoc_opt transport m.pm_fused with
-        | Some ctx -> Some ctx
-        | None ->
-            let origin = origin_of t session ~transport in
-            let attrs =
-              [
-                ("phase", "call");
-                ("module", session.entry.Registry.image.Smof.mod_name);
-              ]
-              @ origin_attr_pairs origin
-            in
-            let ctx =
-              Policy.begin_fused ~clock:(Machine.clock t.machine) ~origin ~attrs m.pm_compiled
-            in
-            m.pm_fused <- (transport, ctx) :: m.pm_fused;
-            Some ctx)
+  match policy_memo t session with
+  | None -> None
+  | Some m -> (
+      match List.assoc_opt transport m.pm_fused with
+      | Some ctx -> Some ctx
+      | None ->
+          let origin = origin_of t session ~transport in
+          let attrs =
+            [ ("phase", "call"); ("module", session.entry.Registry.image.Smof.mod_name) ]
+            @ origin_attr_pairs origin
+          in
+          let ctx =
+            Policy.begin_fused ~clock:(Machine.clock t.machine) ~origin ~attrs m.pm_compiled
+          in
+          m.pm_fused <- (transport, ctx) :: m.pm_fused;
+          Some ctx)
 
 (* ------------------------------------------------------------------ *)
 (* Admission: one policy cascade for every transport                   *)
@@ -866,12 +852,13 @@ let call_attrs session ~origin ~func_name =
 
 (* One call's admission decision, shared by [sys_call], the batch trap
    and the kernel poller: smodd's decision cache, then the engine — the
-   lane executor at one lane when the session has an armed fused context,
-   else the compiled program, else the interpreter with per-call
-   credential revalidation (§3.1).  The batch paths resolve the fused
-   context once, before their slot loop, and pass it [~armed:true]; the
-   msgq path passes [~armed:false] and it is resolved here, after the
-   cache lookup.  Either way the clock sees its charges in the order it
+   lane executor at one lane when compilation is on (the session's armed
+   fused context; the credential chain was verified when the program was
+   compiled, so no per-call Cred_check), else the interpreter with
+   per-call credential revalidation (§3.1).  The batch paths resolve the
+   fused context once, before their slot loop, and pass it
+   [~armed:true]; the msgq path passes [~armed:false] and it is resolved
+   here, after the cache lookup.  Either way the clock sees its charges in the order it
    always has. *)
 let admit t session ~transport ~origin ~armed ~fused ~cache ~func_name =
   match
@@ -889,17 +876,10 @@ let admit t session ~transport ~origin ~armed ~fused ~cache ~func_name =
             (Policy.check_vector ~clock ~now_us:(Clock.now_us clock) ~credential
                ~lanes:[| { Policy.vl_origin = origin; vl_attrs = attrs } |]
                ctx state).(0)
-        | None -> (
-            match policy_of t session with
-            | Some compiled ->
-                (* The credential chain was verified when the program was
-                   compiled, so no per-call Cred_check. *)
-                Policy.check_compiled ~clock ~now_us:(Clock.now_us clock) ~credential ~attrs
-                  compiled state
-            | None ->
-                Clock.charge clock Cost.Cred_check;
-                Policy.check ~clock ~now_us:(Clock.now_us clock) ~credential ~attrs
-                  session.entry.Registry.policy state)
+        | None ->
+            Clock.charge clock Cost.Cred_check;
+            Policy.check ~clock ~now_us:(Clock.now_us clock) ~credential ~attrs
+              session.entry.Registry.policy state
       in
       let d =
         match verdict with Ok () -> Cache_allow | Error d -> Cache_deny (denial_message d)
@@ -1719,9 +1699,9 @@ let bind_session_ring t (p : Proc.t) session =
    - fewer than two evaluable lanes (one lane is the slot-by-slot path);
    - the stateless fast path or the smodd decision cache already reduces
      the batch to cheaper work;
-   - no armed fused context (compile or fuse off, nothing planned), or a
-     tree that is not {!Policy.vector_eligible} (volatile residue reads,
-     clock-dependent arms, unplanned arms);
+   - no armed fused context (compilation off), or a tree that is not
+     {!Policy.vector_eligible} (volatile residue reads, clock-dependent
+     arms);
    - a cacheable policy's batch has fewer than two distinct functions —
      the decider's per-batch memo already evaluates once per function.
 
@@ -2298,7 +2278,6 @@ let install machine ?keystore () =
       policy_cache = None;
       remove_hooks = [];
       compile_policies = false;
-      fuse_policies = false;
       dispatch_gate = None;
       spin_budget = default_spin_budget;
       poller = None;

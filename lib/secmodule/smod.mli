@@ -268,49 +268,43 @@ val set_policy_cache : t -> policy_cache_hooks option -> unit
     still count and raise exactly as uncached ones do). *)
 
 val set_policy_compile : t -> bool -> unit
-(** Switch admission onto compiled decision programs ({!Policy.compile}):
-    on the first policy evaluation for a session the KeyNote arms are
-    flattened once — signature chain verified, delegation graph resolved,
-    conditions lowered to opcodes — and every subsequent evaluation for
-    that (credential, policy revision, keystore generation) runs the
-    program at {!Smod_sim.Cost_model.Policy_compiled_op} per opcode with
-    no per-call [Cred_check].  Programs are stored once, on the registry
-    entry, fronted by each session's {!policy_memo}; they are invalidated
-    by [Registry.set_policy], keystore changes and [sys_smod_remove].
-    Default: off — the interpreted path is byte-for-byte what the
-    baselines measured. *)
+(** Switch admission from the paper-faithful interpreter onto the
+    compiled pipeline ({!Policy.compile}): on the first policy
+    evaluation for a session the KeyNote arms are flattened once —
+    signature chain verified, delegation graph resolved, conditions
+    lowered to opcodes — and lowered into fused batch plans
+    ({!Smod_keynote.Fuse}) partitioned into a batch-invariant prefix and
+    a per-slot residue.  Programs are stored once per (credential, policy
+    revision, keystore generation), on the registry entry, fronted by
+    each session's {!policy_memo}; they are invalidated by
+    [Registry.set_policy], keystore changes and [sys_smod_remove].
 
-val policy_compile_enabled : t -> bool
-
-val set_policy_fuse : t -> bool -> unit
-(** Layer fused batch plans ({!Smod_keynote.Fuse}) on top of compiled
-    policies (requires {!set_policy_compile} on to take effect): each
-    KeyNote arm is additionally lowered into superoperator-fused segments
-    partitioned into a batch-invariant prefix and a per-slot residue,
-    and every fused evaluation runs on the lane executor
-    ({!Smod_keynote.Vexec}) at N >= 1 lanes.  The prefix runs once per
-    (session, policy revision, keystore generation, transport) — kept in
-    the session's {!policy_memo}, so switching transports does not
-    re-arm — charged
-    {!Smod_sim.Cost_model.Policy_fused_setup} plus its opcodes — and
-    every admission then pays residue opcodes only.  A scalar msgq call,
-    or a batch slot evaluated on its own, is one lane.  A ring batch or
-    poller sweep is executed batch-major — one pass per residue opcode
-    over all lanes, charged {!Smod_sim.Cost_model.Policy_vector_op} at
+    Every compiled evaluation runs on the lane executor
+    ({!Smod_keynote.Vexec}) at N >= 1 lanes, with no per-call
+    [Cred_check].  The prefix runs once per (session, policy revision,
+    keystore generation, transport) — kept in the session's
+    {!policy_memo}, so switching transports does not re-arm — charged
+    {!Smod_sim.Cost_model.Policy_fused_setup} plus its opcodes; every
+    admission then pays residue opcodes only.  A scalar msgq call, or a
+    batch slot evaluated on its own, is one lane.  A ring batch or poller
+    sweep is executed batch-major — one pass per residue opcode over all
+    lanes, charged {!Smod_sim.Cost_model.Policy_vector_op} at
     [ceil(live_lanes/8)] units per pass — whenever it has at least two
     evaluable lanes, the armed tree is {!Policy.vector_eligible}, the
     session is not served by the smodd decision cache, and (for
     cacheable policies, whose per-batch memo already evaluates once per
     function) the batch names at least two distinct functions; other
     batches run one lane per slot.  Verdicts, quota state transitions,
-    and denial reasons are identical either way (the differential in
-    test/test_compile.ml asserts it).  Origin predicates
-    ([origin_module], [origin_ring], [origin_transport]) resolve against
-    kernel-held session state on every engine; compilation fails closed
-    when one names an unknown module, ring, or transport.  Stateful arms
-    (quotas, rate limits) still evaluate per slot.  Default: off. *)
+    and denial reasons are identical either way, and identical to the
+    interpreter's (the differentials in test/test_compile.ml assert it).
+    Origin predicates ([origin_module], [origin_ring],
+    [origin_transport]) resolve against kernel-held session state on
+    both engines; compilation fails closed when one names an unknown
+    module, ring, or transport.  Stateful arms (quotas, rate limits)
+    still evaluate per slot.  Default: off — the interpreted path is
+    byte-for-byte what the baselines measured. *)
 
-val policy_fuse_enabled : t -> bool
+val policy_compile_enabled : t -> bool
 
 type compile_status = {
   cs_m_id : int;
@@ -325,7 +319,7 @@ type compile_status = {
       (** a representative cached program's size/opcode breakdown *)
   cs_fusion : Smod_keynote.Fuse.stats option;
       (** fusion statistics (superop mix, invariant prefix size) for a
-          representative cached program compiled with fusion on *)
+          representative cached program with a KeyNote arm *)
 }
 
 val policy_compile_status : t -> compile_status list

@@ -40,7 +40,8 @@ type op =
   | Policy_compiled_op
       (** one opcode of a compiled decision program
           ([Smod_keynote.Compile]) — the tight-loop replacement for
-          {!Keynote_assertion_eval} *)
+          {!Keynote_assertion_eval}; charged for the batch-invariant
+          prefix opcodes when a fused context is armed *)
   | Policy_fused_setup
       (** fused batch engine ([Smod_keynote.Fuse]): building or re-arming
           the batch-invariant snapshot before a batch — prefix opcodes are

@@ -1,6 +1,6 @@
 (* The compiled policy engine: randomized differential testing of
-   Compile.run against Eval.query, the lane executor against both,
-   Policy.check_compiled against Policy.check, the fail-closed
+   Compile.run against Eval.query, the lane executor against both, the
+   armed one-lane Policy.check_vector against Policy.check, the fail-closed
    divergences (unknown levels, unverified chains), hostile-input parser
    hardening, and the cache-invalidation story — keystore rotation must
    evict compiled programs and pooled decisions in the same step,
@@ -404,6 +404,18 @@ let test_vexec_divergent_lane_rides_free () =
 
 let mk_clock () = M.clock (M.create ~jitter:0.0 ())
 
+(* A compiled policy runs the way admission runs it: armed once on the
+   batch-invariant [invariant] attrs, then evaluated one lane per call. *)
+let arm ~clock ?(invariant = []) compiled =
+  Policy.begin_fused ~clock ~origin:Fuse.no_origin
+    ~attrs:(invariant @ origin_pairs Fuse.no_origin)
+    compiled
+
+let check_one ~clock ~credential ~attrs ctx state =
+  (Policy.check_vector ~clock ~now_us:0.0 ~credential
+     ~lanes:[| { Policy.vl_origin = Fuse.no_origin; vl_attrs = attrs } |]
+     ctx state).(0)
+
 let vendor_keystore () =
   let ks = Keystore.create () in
   Keystore.add_principal ks ~name:"vendor" ~secret:"vk";
@@ -444,12 +456,9 @@ let test_vector_eligibility () =
     Credential.make ~principal:"alice" ~assertions:[ signed_license ks () ] ()
   in
   let keynote_arm conds = policy_trusting_vendor ~conds () in
-  let ctx_of policy =
-    let compiled = Policy.compile ~fuse:true ~clock ~keystore:ks ~credential policy in
-    Policy.begin_fused ~clock ~origin:Fuse.no_origin
-      ~attrs:(origin_pairs Fuse.no_origin) compiled
+  let eligible p =
+    Policy.vector_eligible (arm ~clock (Policy.compile ~clock ~keystore:ks ~credential p))
   in
-  let eligible p = Policy.vector_eligible (ctx_of p) in
   Alcotest.(check bool) "function-varying arm eligible" true
     (eligible (keynote_arm "function != \"x\" -> \"allow\";"));
   Alcotest.(check bool) "volatile residue ineligible" false
@@ -491,7 +500,7 @@ let test_policy_vector_parity () =
         policy_trusting_vendor ~conds:"function != \"blocked\" -> \"allow\";" ();
       ]
   in
-  let compiled = Policy.compile ~fuse:true ~clock ~keystore:ks ~credential policy in
+  let compiled = Policy.compile ~clock ~keystore:ks ~credential policy in
   let origin = Fuse.no_origin in
   let ctx =
     Policy.begin_fused ~clock ~origin ~attrs:(origin_pairs origin) compiled
@@ -554,8 +563,7 @@ let test_policy_fused_parity () =
   let policy = Policy.All_of [ Policy.Call_quota 4; policy_trusting_vendor () ] in
   let s_interp = Policy.initial_state policy in
   let s_fused = Policy.initial_state policy in
-  let compiled = Policy.compile ~fuse:true ~clock ~keystore:ks ~credential policy in
-  Alcotest.(check bool) "composite is fusible" true (Policy.fusible compiled);
+  let compiled = Policy.compile ~clock ~keystore:ks ~credential policy in
   let origin = Fuse.no_origin in
   let ctx =
     Policy.begin_fused ~clock ~origin ~attrs:(origin_pairs origin) compiled
@@ -652,7 +660,7 @@ let test_origin_unknown_denies_at_policy_layer () =
       }
   in
   let compiled =
-    Policy.compile ~fuse:true
+    Policy.compile
       ~origin_env:{ Compile.known_modules = [] }
       ~clock ~keystore:ks ~credential policy
   in
@@ -661,8 +669,7 @@ let test_origin_unknown_denies_at_policy_layer () =
       Alcotest.(check bool) "reason names the module" true (contains r "ghost")
   | _ -> Alcotest.fail "expected a deny-all stub with no program");
   match
-    Policy.check_compiled ~clock ~now_us:0.0 ~credential ~attrs:[] compiled
-      (Policy.initial_state policy)
+    check_one ~clock ~credential ~attrs:[] (arm ~clock compiled) (Policy.initial_state policy)
   with
   | Ok () -> Alcotest.fail "deny-all stub must deny"
   | Error _ -> ()
@@ -719,7 +726,7 @@ let test_arena_sharing_sublinear () =
   Alcotest.(check bool) "hits dominate misses" true (a.Fuse.a_hits > a.Fuse.a_misses)
 
 (* ------------------------------------------------------------------ *)
-(* Policy.check ≡ Policy.check_compiled                                *)
+(* Policy.check ≡ armed one-lane Policy.check_vector                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Stateful composite over a volatile keynote arm: verdict-for-verdict
@@ -734,11 +741,11 @@ let test_policy_check_parity () =
   let policy = Policy.All_of [ Policy.Call_quota 4; policy_trusting_vendor () ] in
   let s_interp = Policy.initial_state policy in
   let s_comp = Policy.initial_state policy in
-  let compiled = Policy.compile ~clock ~keystore:ks ~credential policy in
+  let ctx = arm ~clock (Policy.compile ~clock ~keystore:ks ~credential policy) in
   for i = 0 to 5 do
     let attrs = [ ("calls_so_far", string_of_int i) ] in
     let a = Policy.check ~clock ~now_us:0.0 ~credential ~attrs policy s_interp in
-    let b = Policy.check_compiled ~clock ~now_us:0.0 ~credential ~attrs compiled s_comp in
+    let b = check_one ~clock ~credential ~attrs ctx s_comp in
     match (a, b) with
     | Ok (), Ok () -> Alcotest.(check bool) (Printf.sprintf "call %d allowed" i) true (i < 3)
     | Error da, Error db ->
@@ -763,8 +770,8 @@ let test_unknown_level_fails_closed () =
   in
   let policy = policy_trusting_vendor ~conds:"true -> \"sudo\";" () in
   let compiled = Policy.compile ~clock ~keystore:ks ~credential policy in
-  (match Policy.check_compiled ~clock ~now_us:0.0 ~credential ~attrs:[] compiled
-           (Policy.initial_state policy)
+  (match
+     check_one ~clock ~credential ~attrs:[] (arm ~clock compiled) (Policy.initial_state policy)
    with
   | Ok () -> Alcotest.fail "unknown level must deny"
   | Error d ->
@@ -789,18 +796,19 @@ let test_unverified_chain_fails_closed () =
   let credential = Credential.make ~principal:"alice" ~assertions:[ unsigned ] () in
   let policy = policy_trusting_vendor () in
   let compiled = Policy.compile ~clock ~keystore:ks ~credential policy in
-  match Policy.check_compiled ~clock ~now_us:0.0 ~credential
-          ~attrs:[ ("calls_so_far", "0") ]
-          compiled (Policy.initial_state policy)
+  match
+    check_one ~clock ~credential ~attrs:[ ("calls_so_far", "0") ] (arm ~clock compiled)
+      (Policy.initial_state policy)
   with
   | Ok () -> Alcotest.fail "unverified chain must deny"
   | Error d ->
       Alcotest.(check bool) "reason names verification" true
         (contains d.Policy.reason "verification")
 
-(* Compiling charges the hoisted work; running charges per opcode.  The
-   steady state (one compile, many runs) must be cheaper than the
-   interpreter for the 16-assertion ladder. *)
+(* Compiling charges the hoisted work; arming charges the invariant
+   prefix once; each call charges its residue.  The steady state (one
+   compile, one arming, many calls) must be cheaper than the interpreter
+   for the 16-assertion ladder. *)
 let test_compiled_cycles_cheaper () =
   let machine = M.create ~jitter:0.0 () in
   let clock = M.clock machine in
@@ -821,8 +829,9 @@ let test_compiled_cycles_cheaper () =
   let interp_us = Clock.now_us clock -. interp_t0 in
   let compiled = Policy.compile ~clock ~keystore:ks ~credential policy in
   let comp_t0 = Clock.now_us clock in
+  let ctx = arm ~clock ~invariant:attrs compiled in
   for _ = 1 to 100 do
-    match Policy.check_compiled ~clock ~now_us:0.0 ~credential ~attrs compiled state with
+    match check_one ~clock ~credential ~attrs ctx state with
     | Ok () -> ()
     | Error _ -> Alcotest.fail "compiled denied"
   done;
@@ -994,49 +1003,74 @@ let test_compiled_dispatch_end_to_end () =
 
 (* The batch path evaluates volatile compiled programs per slot with the
    same verdicts the interpreter produces: 3 allowed, then denials as
-   calls_so_far crosses the threshold. *)
-let batch_statuses ?(fuse = false) ~compile () =
-  let world =
-    World.create ~with_rpc:false ~policy:(client_keynote_policy ~volatile:true ()) ()
-  in
+   calls_so_far crosses the threshold (quota-like opcodes stay per slot
+   even when the keynote prefix is hoisted). *)
+let batch_statuses ?(policy = client_keynote_policy ~volatile:true ()) ~compile ~slots () =
+  let world = World.create ~with_rpc:false ~policy () in
   Smod.set_policy_compile world.World.smod compile;
-  Smod.set_policy_fuse world.World.smod fuse;
+  let armed () = Option.value ~default:0 (Smod_metrics.counter_value "keynote.fused_batches") in
+  let armed0 = armed () in
   let results = ref [] in
   World.spawn_seclibc_client world ~name:"batch-client" (fun _p conn ->
-      results := Stub.call_batch conn ~func:"test_incr" (List.init 5 (fun i -> [| i |])));
+      results := Stub.call_batch conn ~func:"test_incr" (List.init slots (fun i -> [| i |])));
   World.run world;
-  List.map (function Ok _ -> `Ok | Error (e, _) -> `Err e) !results
+  (List.map (function Ok _ -> `Ok | Error (e, _) -> `Err e) !results, armed () - armed0)
 
-let test_batch_volatile_compiled_per_slot () =
-  let compiled = batch_statuses ~compile:true () in
-  let interpreted = batch_statuses ~compile:false () in
-  Alcotest.(check int) "5 slots" 5 (List.length compiled);
-  Alcotest.(check bool) "same verdict sequence as interpreted" true
-    (compiled = interpreted);
+let check_allowed_then_denied ~allowed statuses =
   List.iteri
     (fun i s ->
-      if i < 3 then
+      if i < allowed then
         Alcotest.(check bool) (Printf.sprintf "slot %d allowed" i) true (s = `Ok)
       else
         Alcotest.(check bool) (Printf.sprintf "slot %d denied" i) true (s = `Err Errno.EACCES))
-    compiled
+    statuses
 
-(* The fused batch path: same stateful per-slot verdicts (quota opcodes
-   stay per slot even when the keynote prefix is hoisted). *)
+let test_batch_volatile_per_slot () =
+  let compiled, _ = batch_statuses ~compile:true ~slots:5 () in
+  let interpreted, _ = batch_statuses ~compile:false ~slots:5 () in
+  Alcotest.(check int) "5 slots" 5 (List.length compiled);
+  Alcotest.(check bool) "same verdict sequence as interpreted" true (compiled = interpreted);
+  check_allowed_then_denied ~allowed:3 compiled
+
+(* The fused batch path: with compile on, the batch runs on the armed
+   lane executor and the stateful verdicts still come out per slot. *)
 let test_batch_volatile_fused_per_slot () =
-  let fused = batch_statuses ~compile:true ~fuse:true () in
-  let interpreted = batch_statuses ~compile:false () in
+  let fused, armed = batch_statuses ~compile:true ~slots:5 () in
+  let interpreted, _ = batch_statuses ~compile:false ~slots:5 () in
+  Alcotest.(check bool) (Printf.sprintf "fused context armed (%d)" armed) true (armed >= 1);
   Alcotest.(check int) "5 slots" 5 (List.length fused);
-  Alcotest.(check bool) "same verdict sequence as interpreted" true
-    (fused = interpreted);
-  List.iteri
-    (fun i s ->
-      if i < 3 then
-        Alcotest.(check bool) (Printf.sprintf "slot %d allowed" i) true (s = `Ok)
-      else
-        Alcotest.(check bool) (Printf.sprintf "slot %d denied" i) true
-          (s = `Err Errno.EACCES))
-    fused
+  Alcotest.(check bool) "same verdict sequence as interpreted" true (fused = interpreted);
+  check_allowed_then_denied ~allowed:3 fused
+
+(* set_policy_compile is the one switch: with nothing else turned on, a
+   volatile 16-assertion ring batch runs on the armed lane executor (the
+   session's ring context is armed, bumping keynote.fused_batches) and
+   its verdicts are the interpreter's. *)
+let test_compile_alone_runs_fused () =
+  let policy =
+    Policy.Keynote
+      {
+        policy =
+          Parse.assertion_of_string
+            "keynote-version: 2\nauthorizer: \"POLICY\"\nlicensees: \"client\"\n\
+             conditions: module == \"seclibc\" && calls_so_far < 3 -> \"allow\";\n"
+          :: List.init 15 (fun i ->
+                 Parse.assertion_of_string
+                   (Printf.sprintf
+                      "keynote-version: 2\nauthorizer: \"POLICY\"\nlicensees: \"client\"\n\
+                       conditions: module == \"seclibc\" && clause == %d -> \"allow\";\n"
+                      i));
+        levels = [| "deny"; "allow" |];
+        min_level = "allow";
+        attrs = [];
+      }
+  in
+  let compiled, armed = batch_statuses ~policy ~compile:true ~slots:16 () in
+  let interpreted, _ = batch_statuses ~policy ~compile:false ~slots:16 () in
+  Alcotest.(check bool) (Printf.sprintf "fused context armed (%d)" armed) true (armed >= 1);
+  Alcotest.(check int) "16 slots" 16 (List.length compiled);
+  Alcotest.(check bool) "verdicts = interpreted engine" true (compiled = interpreted);
+  check_allowed_then_denied ~allowed:3 compiled
 
 (* Origin predicates at dispatch: the kernel resolves the caller's
    transport, so the same session is admitted over msgq and refused over
@@ -1092,14 +1126,13 @@ let test_pooled_sessions_share_registry_program () =
    a session alternating msgq and ring arms each transport once, and the
    transport-gated verdicts stay the interpreted engine's. *)
 let test_one_memo_across_transports () =
-  let run ~fused =
+  let run ~compile =
     let world =
       origin_world
         "phase == \"session\" -> \"allow\"; origin_transport == \"msgq\" && module \
          == \"seclibc\" -> \"allow\";"
     in
-    Smod.set_policy_compile world.World.smod fused;
-    Smod.set_policy_fuse world.World.smod fused;
+    Smod.set_policy_compile world.World.smod compile;
     let armed () =
       Option.value ~default:0 (Smod_metrics.counter_value "keynote.fused_batches")
     in
@@ -1117,8 +1150,8 @@ let test_one_memo_across_transports () =
     World.run world;
     (List.rev !trace, armed () - armed0)
   in
-  let interpreted, _ = run ~fused:false in
-  let fused, armed = run ~fused:true in
+  let interpreted, _ = run ~compile:false in
+  let fused, armed = run ~compile:true in
   Alcotest.(check int) "msgq, ring, msgq, ring" 4 (List.length fused);
   Alcotest.(check bool) "verdicts = interpreted engine" true (fused = interpreted);
   (match fused with
@@ -1134,7 +1167,6 @@ let test_origin_transport_gates_paths () =
        == \"seclibc\" -> \"allow\";"
   in
   Smod.set_policy_compile world.World.smod true;
-  Smod.set_policy_fuse world.World.smod true;
   let scalar = ref `Unset and batch = ref [] in
   World.spawn_seclibc_client world ~name:"transport-client" (fun _p conn ->
       (scalar :=
@@ -1161,7 +1193,6 @@ let test_origin_module_ring_admits () =
     origin_world "origin_module == \"user\" && origin_ring >= 3 -> \"allow\";"
   in
   Smod.set_policy_compile world.World.smod true;
-  Smod.set_policy_fuse world.World.smod true;
   let scalar = ref `Unset and batch = ref [] in
   World.spawn_seclibc_client world ~name:"user-ring3" (fun _p conn ->
       (scalar :=
@@ -1196,7 +1227,6 @@ let test_unknown_origin_module_fails_closed_at_dispatch () =
       "phase == \"session\" -> \"allow\"; origin_module == \"ghost\" -> \"allow\";"
   in
   Smod.set_policy_compile world.World.smod true;
-  Smod.set_policy_fuse world.World.smod true;
   let outcome = ref `Unset in
   World.spawn_seclibc_client world ~name:"ghost-chaser" (fun _p conn ->
       outcome :=
@@ -1343,7 +1373,6 @@ let test_fused_rotation_between_batches () =
   in
   let smod = world.World.smod in
   Smod.set_policy_compile smod true;
-  Smod.set_policy_fuse smod true;
   let ks = Smod.keystore smod in
   Keystore.add_principal ks ~name:"vendor" ~secret:"vk1";
   let credential =
@@ -1370,19 +1399,18 @@ let test_fused_rotation_between_batches () =
   Alcotest.(check bool) "batch after rotation fully denied" true
     (!after = [ `Err Errno.EACCES; `Err Errno.EACCES; `Err Errno.EACCES ])
 
-(* Batch-major selection end to end, with no knob: once compile and fuse
-   are on, a ring batch runs batch-major exactly when it can — here a
+(* Batch-major selection end to end, with no knob: once compilation is
+   on, a ring batch runs batch-major exactly when it can — here a
    mixed-function batch under a cacheable, function-discriminating
    policy — and one lane per slot otherwise: a single-function batch of
    a cacheable policy (the per-batch memo already evaluates once), or a
    policy that reads calls_so_far (lane k's input would depend on earlier
    verdicts).  Whatever the choice, the verdicts are the interpreted
    engine's. *)
-let batch_statuses ~fused ~conds funcs =
+let selection_statuses ~compile ~conds funcs =
   let world = origin_world ("phase == \"session\" -> \"allow\"; " ^ conds) in
   let smod = world.World.smod in
-  Smod.set_policy_compile smod fused;
-  Smod.set_policy_fuse smod fused;
+  Smod.set_policy_compile smod compile;
   let counter () =
     Option.value ~default:0 (Smod_metrics.counter_value "keynote.vector_batches")
   in
@@ -1398,8 +1426,8 @@ let batch_statuses ~fused ~conds funcs =
 
 let test_vectorized_dispatch_end_to_end () =
   let check name ~conds ~funcs ~batch_major =
-    let interpreted, _ = batch_statuses ~fused:false ~conds funcs in
-    let fused, vector_batches = batch_statuses ~fused:true ~conds funcs in
+    let interpreted, _ = selection_statuses ~compile:false ~conds funcs in
+    let fused, vector_batches = selection_statuses ~compile:true ~conds funcs in
     Alcotest.(check int) (name ^ ": slots") (List.length funcs) (List.length fused);
     Alcotest.(check bool) (name ^ ": verdicts = interpreted engine") true (fused = interpreted);
     if batch_major then
@@ -1463,7 +1491,6 @@ let test_attach_clause_across_rotation () =
   in
   let smod = world.World.smod in
   Smod.set_policy_compile smod true;
-  Smod.set_policy_fuse smod true;
   let ks = Smod.keystore smod in
   Keystore.add_principal ks ~name:"vendor" ~secret:"vk1";
   let credential =
@@ -1613,8 +1640,9 @@ let () =
           tc "single program store"
             test_pooled_sessions_share_registry_program;
           tc "one memo across transports" test_one_memo_across_transports;
-          tc "batch volatile per slot" test_batch_volatile_compiled_per_slot;
+          tc "batch volatile per slot" test_batch_volatile_per_slot;
           tc "batch volatile fused per slot" test_batch_volatile_fused_per_slot;
+          tc "compile alone runs fused" test_compile_alone_runs_fused;
         ] );
       ( "invalidation",
         [
