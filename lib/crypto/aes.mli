@@ -1,8 +1,15 @@
 (** AES (FIPS-197) implemented from scratch.
 
     The S-box is derived at module initialisation from the GF(2^8) inverse
-    plus the affine transform rather than pasted in as a table; test vectors
-    from FIPS-197 Appendix B/C verify the construction.
+    plus the affine transform rather than pasted in as a table.  So are the
+    round tables: four 256-entry T-tables per direction, built from the
+    S-box (or its inverse) and {!Gf256.xtime}, fold SubBytes, ShiftRows and
+    MixColumns into four lookups per column word.  Decryption uses the
+    equivalent inverse cipher (FIPS-197 §5.3.5).  The block state is four
+    native-int words, so a block allocates nothing, and the modes work in
+    place in their output buffer.  Test vectors from FIPS-197 Appendix B/C
+    and SP 800-38A verify the construction, and the tests compare every
+    transform with a textbook byte-array implementation.
 
     SecModule uses this cipher to protect module text segments: every text
     byte outside a relocation site is encrypted with a key that lives only

@@ -1,30 +1,30 @@
-(* All word arithmetic is on Int32 to match the specification exactly. *)
+(* Words are native ints holding 32-bit values: every sum is masked back
+   to 32 bits before it feeds a rotation, so no word is ever boxed. *)
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
-let ( ^^ ) = Int32.logxor
-let ( &&& ) = Int32.logand
-let ( +% ) = Int32.add
+let mask32 = 0xFFFFFFFF
+let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
 let k =
   [|
-    0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl; 0x59f111f1l;
-    0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l; 0x243185bel; 0x550c7dc3l;
-    0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l; 0xc19bf174l; 0xe49b69c1l; 0xefbe4786l;
-    0x0fc19dc6l; 0x240ca1ccl; 0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal;
-    0x983e5152l; 0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-    0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl; 0x53380d13l;
-    0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l; 0xa2bfe8a1l; 0xa81a664bl;
-    0xc24b8b70l; 0xc76c51a3l; 0xd192e819l; 0xd6990624l; 0xf40e3585l; 0x106aa070l;
-    0x19a4c116l; 0x1e376c08l; 0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al;
-    0x5b9cca4fl; 0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-    0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l;
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+    0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+    0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+    0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+    0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+    0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+    0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+    0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+    0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
 type ctx = {
-  h : int32 array;
+  h : int array;
+  w : int array;  (* the message schedule, reused by every block *)
   buf : Bytes.t;  (* one 64-byte block being assembled *)
   mutable buf_len : int;
-  mutable total : int64;  (* total message bytes *)
+  mutable total : int;  (* total message bytes *)
   mutable finalized : bool;
 }
 
@@ -32,62 +32,64 @@ let init () =
   {
     h =
       [|
-        0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl; 0x9b05688cl;
-        0x1f83d9abl; 0x5be0cd19l;
+        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab;
+        0x5be0cd19;
       |];
+    w = Array.make 64 0;
     buf = Bytes.create 64;
     buf_len = 0;
-    total = 0L;
+    total = 0;
     finalized = false;
   }
 
 let word_at b off =
-  let g i = Int32.of_int (Char.code (Bytes.get b (off + i))) in
-  Int32.logor
-    (Int32.shift_left (g 0) 24)
-    (Int32.logor (Int32.shift_left (g 1) 16) (Int32.logor (Int32.shift_left (g 2) 8) (g 3)))
+  (Char.code (Bytes.get b off) lsl 24)
+  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
+  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
+  lor Char.code (Bytes.get b (off + 3))
 
 let compress ctx block off =
-  let w = Array.make 64 0l in
+  let w = ctx.w in
   for t = 0 to 15 do
     w.(t) <- word_at block (off + (4 * t))
   done;
   for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 ^^ rotr w.(t - 15) 18 ^^ Int32.shift_right_logical w.(t - 15) 3 in
-    let s1 = rotr w.(t - 2) 17 ^^ rotr w.(t - 2) 19 ^^ Int32.shift_right_logical w.(t - 2) 10 in
-    w.(t) <- w.(t - 16) +% s0 +% w.(t - 7) +% s1
+    let w15 = w.(t - 15) and w2 = w.(t - 2) in
+    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
+    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
+    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask32
   done;
-  let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2) and d = ref ctx.h.(3) in
-  let e = ref ctx.h.(4) and f = ref ctx.h.(5) and g = ref ctx.h.(6) and h = ref ctx.h.(7) in
+  let h = ctx.h in
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 ^^ rotr !e 11 ^^ rotr !e 25 in
-    let ch = (!e &&& !f) ^^ (Int32.lognot !e &&& !g) in
-    let t1 = !h +% s1 +% ch +% k.(t) +% w.(t) in
-    let s0 = rotr !a 2 ^^ rotr !a 13 ^^ rotr !a 22 in
-    let maj = (!a &&& !b) ^^ (!a &&& !c) ^^ (!b &&& !c) in
-    let t2 = s0 +% maj in
-    h := !g;
+    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let ch = (!e land !f) lxor (lnot !e land !g) in
+    let t1 = !hh + s1 + ch + k.(t) + w.(t) in
+    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
+    hh := !g;
     g := !f;
     f := !e;
-    e := !d +% t1;
+    e := (!d + t1) land mask32;
     d := !c;
     c := !b;
     b := !a;
-    a := t1 +% t2
+    a := (t1 + s0 + maj) land mask32
   done;
-  ctx.h.(0) <- ctx.h.(0) +% !a;
-  ctx.h.(1) <- ctx.h.(1) +% !b;
-  ctx.h.(2) <- ctx.h.(2) +% !c;
-  ctx.h.(3) <- ctx.h.(3) +% !d;
-  ctx.h.(4) <- ctx.h.(4) +% !e;
-  ctx.h.(5) <- ctx.h.(5) +% !f;
-  ctx.h.(6) <- ctx.h.(6) +% !g;
-  ctx.h.(7) <- ctx.h.(7) +% !h
+  h.(0) <- (h.(0) + !a) land mask32;
+  h.(1) <- (h.(1) + !b) land mask32;
+  h.(2) <- (h.(2) + !c) land mask32;
+  h.(3) <- (h.(3) + !d) land mask32;
+  h.(4) <- (h.(4) + !e) land mask32;
+  h.(5) <- (h.(5) + !f) land mask32;
+  h.(6) <- (h.(6) + !g) land mask32;
+  h.(7) <- (h.(7) + !hh) land mask32
 
 let update ctx data =
   assert (not ctx.finalized);
   let n = Bytes.length data in
-  ctx.total <- Int64.add ctx.total (Int64.of_int n);
+  ctx.total <- ctx.total + n;
   let pos = ref 0 in
   (* Top up a partially filled buffer first. *)
   if ctx.buf_len > 0 then begin
@@ -109,40 +111,37 @@ let update ctx data =
     ctx.buf_len <- n - !pos
   end
 
-let update_string ctx s = update ctx (Bytes.of_string s)
+(* [update] only reads its input, so strings are hashed without a copy. *)
+let update_string ctx s = update ctx (Bytes.unsafe_of_string s)
 
 let finalize ctx =
   assert (not ctx.finalized);
   ctx.finalized <- true;
-  let bit_len = Int64.mul ctx.total 8L in
-  (* Padding: 0x80, zeros, then the 64-bit big-endian bit length. *)
-  let pad_len =
-    let rem = (ctx.buf_len + 1 + 8) mod 64 in
-    if rem = 0 then 1 else 1 + (64 - rem)
+  (* Padding, built in place in the block buffer: 0x80, zeros, then the
+     64-bit big-endian bit length. *)
+  let buf = ctx.buf in
+  Bytes.set buf ctx.buf_len '\x80';
+  let fill_from =
+    if ctx.buf_len < 56 then ctx.buf_len + 1
+    else begin
+      Bytes.fill buf (ctx.buf_len + 1) (63 - ctx.buf_len) '\000';
+      compress ctx buf 0;
+      0
+    end
   in
-  let tail = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
+  Bytes.fill buf fill_from (56 - fill_from) '\000';
+  let bit_len = ctx.total * 8 in
   for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    Bytes.set tail (pad_len + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len shift) 0xffL)))
+    Bytes.set buf (56 + i) (Char.unsafe_chr ((bit_len lsr (8 * (7 - i))) land 0xff))
   done;
-  (* Feed the padding through the normal path, without recounting length. *)
-  let saved_total = ctx.total in
-  ctx.finalized <- false;
-  update ctx tail;
-  ctx.finalized <- true;
-  ctx.total <- saved_total;
-  assert (ctx.buf_len = 0);
+  compress ctx buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let w = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr (Int32.to_int (Int32.shift_right_logical w 24) land 0xff));
-    Bytes.set out ((4 * i) + 1)
-      (Char.chr (Int32.to_int (Int32.shift_right_logical w 16) land 0xff));
-    Bytes.set out ((4 * i) + 2)
-      (Char.chr (Int32.to_int (Int32.shift_right_logical w 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (Int32.to_int w land 0xff))
+    let v = ctx.h.(i) in
+    Bytes.set out (4 * i) (Char.unsafe_chr (v lsr 24));
+    Bytes.set out ((4 * i) + 1) (Char.unsafe_chr ((v lsr 16) land 0xff));
+    Bytes.set out ((4 * i) + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
+    Bytes.set out ((4 * i) + 3) (Char.unsafe_chr (v land 0xff))
   done;
   out
 
@@ -151,5 +150,5 @@ let digest data =
   update ctx data;
   finalize ctx
 
-let digest_string s = digest (Bytes.of_string s)
+let digest_string s = digest (Bytes.unsafe_of_string s)
 let hex_digest_string s = Smod_util.Hexdump.to_hex (digest_string s)

@@ -1,5 +1,10 @@
 (** SHA-256 (FIPS 180-4), implemented from scratch.
 
+    Words are native ints masked to 32 bits, never boxed [Int32]s, and
+    each context reuses one 64-word message schedule and pads in its own
+    block buffer: hashing allocates only the context and the digest,
+    whatever the input length.
+
     Used for credential fingerprints, module image integrity checks and as
     the compression function under {!Hmac}. *)
 

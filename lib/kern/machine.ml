@@ -39,7 +39,6 @@ type msgq = {
   mutable wait_send : int list;
   mutable cur_bytes : int;
   max_bytes : int;
-  mutable removed : bool;
 }
 
 (* What the kernel decided about one stamped slot, recorded at stamp
@@ -510,17 +509,18 @@ let sys_ptrace_attach t p ~target_pid =
 (* SysV message queues                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* [msgqs] holds live queues only.  Ids are handed out in sequence and
+   never reused, so an id below [next_qid] that is not in the table names
+   a removed queue. *)
 let msgq_exn t qid =
   match Hashtbl.find_opt t.msgqs qid with
-  | Some q when not q.removed -> q
-  | Some _ -> Errno.raise_errno Errno.EIDRM "msgq"
+  | Some q -> q
+  | None when qid >= 1 && qid < t.next_qid -> Errno.raise_errno Errno.EIDRM "msgq"
   | None -> Errno.raise_errno Errno.EINVAL "msgq"
 
 let msgget t _p ~key =
   let existing =
-    Hashtbl.fold
-      (fun qid q acc -> if q.key = key && not q.removed then Some qid else acc)
-      t.msgqs None
+    Hashtbl.fold (fun qid q acc -> if q.key = key then Some qid else acc) t.msgqs None
   in
   match existing with
   | Some qid -> qid
@@ -535,7 +535,6 @@ let msgget t _p ~key =
           wait_send = [];
           cur_bytes = 0;
           max_bytes = 16384;
-          removed = false;
         };
       qid
 
@@ -646,7 +645,7 @@ let msgq_flush t ~qid =
 
 let msgctl_remove t _p ~qid =
   let q = msgq_exn t qid in
-  q.removed <- true;
+  Hashtbl.remove t.msgqs qid;
   let waiters = q.wait_recv @ q.wait_send in
   q.wait_recv <- [];
   q.wait_send <- [];

@@ -67,6 +67,7 @@ type session = {
   mutable ring : ring_state option;
   mutable cred_digest : string option;
   mutable policy_memo : policy_memo option;
+  mutable client_exit_hook : (Proc.t -> unit) option;
 }
 
 (* A reusable handle co-process managed by the smodd service layer
@@ -307,6 +308,14 @@ let detach_session t session =
       session.sid session.entry.Registry.image.Smof.mod_name;
     Hashtbl.remove t.sessions_by_client session.client_pid;
     Hashtbl.remove t.sessions_by_handle session.handle_pid;
+    (* A client outlives its sessions: take this session's exit hook back,
+       or every session a long-lived client ever opened stays reachable
+       from its hook list. *)
+    (match (session.client_exit_hook, Machine.proc t.machine session.client_pid) with
+    | Some hook, Some client ->
+        client.Proc.exit_hooks <- List.filter (fun h -> h != hook) client.Proc.exit_hooks
+    | _ -> ());
+    session.client_exit_hook <- None;
     (* Tear the dispatch ring down first: count what a client that died
        mid-batch left behind (Submitted/Claimed slots nobody will ever
        complete), unblock both sides of the spin-then-block protocol, and
@@ -919,12 +928,16 @@ let batch_decider t session ~transport =
 let install_module_image t session_text_base session_data_base handle_aspace entry =
   let clock = Machine.clock t.machine in
   let image = entry.Registry.image in
-  (* Decrypt with the kernel-held key when necessary; charge the AES work. *)
+  (* Decrypt with the kernel-held key when necessary; charge the AES work.
+     A text that fails to verify under that key is not an executable
+     image: fail closed before the caller registers any session state. *)
   let plaintext =
     if image.Smof.encrypted then begin
       Clock.charge clock Cost.Aes_key_schedule;
       Clock.charge_n clock Cost.Aes_block ((Bytes.length image.Smof.text + 15) / 16);
-      Registry.plaintext_image entry
+      match Registry.plaintext_image entry with
+      | plaintext -> plaintext
+      | exception Smof.Malformed m -> Errno.raise_errno Errno.ENOEXEC ("module text: " ^ m)
     end
     else image
   in
@@ -1077,7 +1090,15 @@ let new_session ~sid ~entry ~client_pid ~handle_pid ~req_qid ~rep_qid ~credentia
     ring = None;
     cred_digest = None;
     policy_memo = None;
+    client_exit_hook = None;
   }
+
+(* Tear the session down when its client goes away; [detach_session]
+   removes the hook again if the session ends first. *)
+let hook_client_exit t (p : Proc.t) session =
+  let hook _ = detach_session t session in
+  session.client_exit_hook <- Some hook;
+  p.Proc.exit_hooks <- hook :: p.Proc.exit_hooks
 
 (* Attach a new client session to a parked (or freshly spawned) pooled
    handle: the cheap path that replaces the cold fork. *)
@@ -1101,7 +1122,7 @@ let attach_pooled t (p : Proc.t) ph ~credential =
   p.Proc.role <- Proc.Smod_client { handle_pid = ph.ph_pid };
   Hashtbl.replace t.sessions_by_client p.Proc.pid session;
   Hashtbl.replace t.sessions_by_handle ph.ph_pid session;
-  p.Proc.exit_hooks <- (fun _ -> detach_session t session) :: p.Proc.exit_hooks;
+  hook_client_exit t p session;
   Clock.charge clock Cost.Pool_admission;
   (* A parked handle is blocked on Pool_park; a fresh spawn is already
      ready and this is a no-op. *)
@@ -1162,7 +1183,7 @@ let cold_start_session t (p : Proc.t) entry credential =
   (* The simplest policy allows access for the lifetime of p: tear the
      session down when the client goes away — and equally if the handle
      dies, so no client is left waiting on a dead enforcement point. *)
-  p.Proc.exit_hooks <- (fun _ -> detach_session t session) :: p.Proc.exit_hooks;
+  hook_client_exit t p session;
   handle.Proc.exit_hooks <- (fun _ -> detach_session t session) :: handle.Proc.exit_hooks;
   Trace.emitf (Machine.trace t.machine) ~clock ~actor:"kernel"
     "start_session sid=%d module=%s client=%d handle=%d" sid
@@ -1334,12 +1355,12 @@ let mux_attach t (p : Proc.t) entry credential =
   if Hashtbl.mem t.sessions_by_client p.Proc.pid then
     Errno.raise_errno Errno.EEXIST "smod_start_session: client already has a session";
   let clock = Machine.clock t.machine in
-  let sid = fresh_sid t in
   let ms_aspace =
     Aspace.create ~phys:(Machine.phys t.machine) ~clock
-      ~name:(Printf.sprintf "mux-handle-%d" sid)
+      ~name:(Printf.sprintf "mux-handle-of-%d" p.Proc.pid)
   in
   ignore (install_module_image t module_text_base_addr module_data_base_addr ms_aspace entry);
+  let sid = fresh_sid t in
   Aspace.add_entry ms_aspace ~start_addr:Layout.secret_base
     ~size:(Layout.secret_pages * Layout.page_size)
     ~prot:Prot.rw ~kind:Aspace.Secret ~name:"secret";
@@ -1360,7 +1381,7 @@ let mux_attach t (p : Proc.t) entry credential =
   (* Only the client index: thousands of fibers share the mux pid, so the
      by-handle index (a 1:1 map) stays out of it. *)
   Hashtbl.replace t.sessions_by_client p.Proc.pid session;
-  p.Proc.exit_hooks <- (fun _ -> detach_session t session) :: p.Proc.exit_hooks;
+  hook_client_exit t p session;
   let ms =
     {
       ms_session = session;

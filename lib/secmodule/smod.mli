@@ -72,6 +72,9 @@ type session = {
       (** valid while its stamped (policy_rev, keystore generation) pair
           still matches; a keystore change clears it in the same step.
           Misses go to the registry entry's program store. *)
+  mutable client_exit_hook : (Smod_kern.Proc.t -> unit) option;
+      (** the detach hook on the client's exit list, removed again when
+          the session detaches first *)
 }
 
 val session_cred_digest : session -> string
@@ -144,7 +147,10 @@ val sys_find : t -> Smod_kern.Proc.t -> name_addr:int -> version:int -> int
     the caller's memory. *)
 
 val sys_start_session : t -> Smod_kern.Proc.t -> desc_addr:int -> int
-(** Returns the session id. *)
+(** Returns the session id.  Raises {!Smod_kern.Errno.Error} ENOEXEC, with
+    no session registered, if an encrypted module's text does not verify
+    under its kernel key — on every attach path (cold fork, pooled spawn,
+    mux fiber). *)
 
 val sys_handle_info : t -> Smod_kern.Proc.t -> info_addr:int -> unit
 (** Client side: blocks until the handle is ready, then writes a

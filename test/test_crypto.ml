@@ -1,11 +1,14 @@
-(* Tests for Smod_crypto: FIPS-197 / FIPS 180-4 / RFC 4231 vectors plus
-   algebraic properties of the GF(2^8) field and the cipher modes. *)
+(* Tests for Smod_crypto: FIPS-197 / SP 800-38A / FIPS 180-4 / RFC 4231
+   vectors, algebraic properties of the GF(2^8) field and the cipher
+   modes, differentials against the textbook implementations in
+   Crypto_ref, and the allocation bounds of the per-block paths. *)
 
 module Gf = Smod_crypto.Gf256
 module Aes = Smod_crypto.Aes
 module Sha256 = Smod_crypto.Sha256
 module Hmac = Smod_crypto.Hmac
 module Hex = Smod_util.Hexdump
+module Ref = Crypto_ref
 
 let hex = Hex.of_hex
 let to_hex = Hex.to_hex
@@ -157,6 +160,22 @@ let test_ctr_counter_carry () =
   let distinct = List.sort_uniq compare (List.map Bytes.to_string blocks) in
   Alcotest.(check int) "three distinct keystream blocks" 3 (List.length distinct)
 
+let test_ctr_sp800_38a () =
+  (* NIST SP 800-38A F.5.1, CTR-AES128.Encrypt. *)
+  let key = Aes.expand (Bytes.to_string (hex "2b7e151628aed2a6abf7158809cf4f3c")) in
+  let nonce = hex "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff" in
+  let plain =
+    "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51\
+     30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710"
+  in
+  let cipher =
+    "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff\
+     5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee"
+  in
+  let ctr data = to_hex (Aes.Mode.ctr_transform key ~nonce (hex data)) in
+  Alcotest.(check string) "encrypt" cipher (ctr plain);
+  Alcotest.(check string) "decrypt" plain (ctr cipher)
+
 let test_pkcs7_roundtrip () =
   List.iter
     (fun n ->
@@ -192,6 +211,132 @@ let prop_cbc_roundtrip =
       let data = Aes.Mode.pkcs7_pad (Bytes.of_string s) in
       Bytes.equal data
         (Aes.Mode.cbc_decrypt key16 ~iv:iv16 (Aes.Mode.cbc_encrypt key16 ~iv:iv16 data)))
+
+(* ------------------ differentials against Crypto_ref ---------------- *)
+
+let gen_bytes n = QCheck.Gen.(map Bytes.of_string (string_size ~gen:char (return n)))
+
+let gen_key =
+  QCheck.Gen.(oneofl [ 16; 24; 32 ] >>= fun n -> map Bytes.to_string (gen_bytes n))
+
+let prop_block_matches_ref =
+  QCheck.Test.make ~name:"encrypt/decrypt_block = reference (128/192/256)" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (k, b) ->
+          Printf.sprintf "key %s block %s" (to_hex (Bytes.of_string k)) (to_hex b))
+        Gen.(pair gen_key (gen_bytes 16)))
+    (fun (raw, block) ->
+      let k = Aes.expand raw and rk = Ref.Aes.expand raw in
+      let run f g =
+        let a = Bytes.create 16 and b = Bytes.create 16 in
+        f block ~src_off:0 a ~dst_off:0;
+        g block ~src_off:0 b ~dst_off:0;
+        Bytes.equal a b
+      in
+      run (Aes.encrypt_block k) (Ref.Aes.encrypt_block rk)
+      && run (Aes.decrypt_block k) (Ref.Aes.decrypt_block rk))
+
+(* Nonces end in a run of 0xff bytes so the counter carries across bytes
+   within the first few blocks. *)
+let gen_nonce =
+  QCheck.Gen.(
+    int_range 0 4 >>= fun ones ->
+    map (fun prefix -> Bytes.cat prefix (Bytes.make ones '\xff')) (gen_bytes (16 - ones)))
+
+let prop_ctr_matches_ref =
+  QCheck.Test.make ~name:"ctr_transform = reference (len 0..300, carrying nonces)" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (_, nonce, data) ->
+          Printf.sprintf "nonce %s len %d" (to_hex nonce) (Bytes.length data))
+        Gen.(triple gen_key gen_nonce (int_range 0 300 >>= gen_bytes)))
+    (fun (raw, nonce, data) ->
+      Bytes.equal
+        (Aes.Mode.ctr_transform (Aes.expand raw) ~nonce data)
+        (Ref.Aes.ctr_transform (Ref.Aes.expand raw) ~nonce data))
+
+let prop_cbc_matches_ref =
+  QCheck.Test.make ~name:"cbc_encrypt = reference block chaining" ~count:200
+    QCheck.(make Gen.(pair gen_key (int_range 0 12 >>= fun n -> gen_bytes (16 * n))))
+    (fun (raw, data) ->
+      let rk = Ref.Aes.expand raw in
+      let expected = Bytes.copy data in
+      for i = 0 to (Bytes.length data / 16) - 1 do
+        let off = 16 * i in
+        let prev = if i = 0 then iv16 else Bytes.sub expected (off - 16) 16 in
+        for j = 0 to 15 do
+          let x = Char.code (Bytes.get expected (off + j)) lxor Char.code (Bytes.get prev j) in
+          Bytes.set expected (off + j) (Char.chr x)
+        done;
+        Ref.Aes.encrypt_block rk expected ~src_off:off expected ~dst_off:off
+      done;
+      Bytes.equal expected (Aes.Mode.cbc_encrypt (Aes.expand raw) ~iv:iv16 data))
+
+let prop_sha256_matches_ref =
+  QCheck.Test.make ~name:"Sha256.digest = reference (len 0..300)" ~count:400
+    QCheck.(
+      make
+        ~print:(fun b -> Printf.sprintf "len %d" (Bytes.length b))
+        Gen.(int_range 0 300 >>= gen_bytes))
+    (fun data -> Bytes.equal (Sha256.digest data) (Ref.Sha256.digest data))
+
+let test_sha256_ref_boundaries () =
+  (* The padding edges, every one of them rather than by chance. *)
+  List.iter
+    (fun n ->
+      let data = Bytes.init n (fun i -> Char.chr ((i * 7) land 0xff)) in
+      Alcotest.(check string)
+        (Printf.sprintf "len %d" n)
+        (to_hex (Ref.Sha256.digest data))
+        (to_hex (Sha256.digest data)))
+    [ 0; 1; 55; 56; 57; 63; 64; 65; 119; 120; 128; 300 ]
+
+(* ----------------------------- allocation --------------------------- *)
+
+(* Minor-heap words allocated by [f ()], plus the few words that box the
+   measurement itself.  Objects over 256 words go straight to the major
+   heap and are not counted, so every buffer measured here stays small. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_encrypt_block_allocation () =
+  let block = Bytes.make 16 'p' and out = Bytes.create 16 in
+  Aes.encrypt_block key16 block ~src_off:0 out ~dst_off:0;
+  let n = 1000 in
+  let words =
+    minor_words_of (fun () ->
+        for _ = 1 to n do
+          Aes.encrypt_block key16 block ~src_off:0 out ~dst_off:0
+        done)
+  in
+  let per_block = words /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f words per block = 0" per_block)
+    true (per_block < 0.01)
+
+let test_sha256_allocation () =
+  let data = Bytes.make 4096 's' in
+  ignore (Sha256.digest data);
+  let words = minor_words_of (fun () -> ignore (Sha256.digest data)) in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words for a 4 KiB digest <= 256" words) true
+    (words <= 256.0)
+
+let test_ctr_allocation () =
+  let n = 1024 in
+  let data = Bytes.make n 'c' in
+  ignore (Aes.Mode.ctr_transform key16 ~nonce:iv16 data);
+  let words =
+    minor_words_of (fun () -> ignore (Aes.Mode.ctr_transform key16 ~nonce:iv16 data))
+  in
+  (* The output buffer: header plus n bytes of payload in 8-byte words. *)
+  let output_words = float_of_int (1 + (n / 8) + 1) in
+  let per_block = (words -. output_words) /. float_of_int (n / 16) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f words per block beyond the output <= 8" per_block)
+    true (per_block <= 8.0)
 
 (* ------------------------------ SHA-256 ---------------------------- *)
 
@@ -310,10 +455,26 @@ let () =
           tc "ctr roundtrip odd len" test_ctr_roundtrip_odd_length;
           tc "ctr keystream advances" test_ctr_counter_increments;
           tc "ctr counter carry" test_ctr_counter_carry;
+          tc "ctr SP 800-38A F.5.1" test_ctr_sp800_38a;
           tc "pkcs7 roundtrip" test_pkcs7_roundtrip;
           tc "pkcs7 malformed" test_pkcs7_bad;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_ctr_self_inverse; prop_cbc_roundtrip ] );
+      ( "reference",
+        [ tc "sha256 padding edges" test_sha256_ref_boundaries ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [
+              prop_block_matches_ref;
+              prop_ctr_matches_ref;
+              prop_cbc_matches_ref;
+              prop_sha256_matches_ref;
+            ] );
+      ( "allocation",
+        [
+          tc "encrypt_block" test_encrypt_block_allocation;
+          tc "sha256 4 KiB" test_sha256_allocation;
+          tc "ctr_transform" test_ctr_allocation;
+        ] );
       ( "sha256",
         [
           tc "empty" test_sha256_empty;

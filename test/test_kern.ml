@@ -381,6 +381,32 @@ let test_msgq_remove_wakes_with_eidrm () =
   M.run m;
   Alcotest.(check bool) "EIDRM" true !got_eidrm
 
+(* Removing a queue frees it (a long-lived machine creates one pair per
+   session), yet its id still reads EIDRM and is never handed out again. *)
+let test_msgq_removed_id_stays_eidrm () =
+  let m = mk () in
+  let outcome = ref [] in
+  ignore
+    (M.spawn m ~name:"p" (fun p ->
+         let q = M.msgget m p ~key:1 in
+         M.msgsnd m p ~qid:q ~mtype:1 (Bytes.of_string "x");
+         M.msgctl_remove m p ~qid:q;
+         let errno f =
+           match f () with _ -> "ok" | exception Errno.Error (e, _) -> Errno.to_string e
+         in
+         let q2 = M.msgget m p ~key:1 in
+         outcome :=
+           [
+             errno (fun () -> M.msgsnd m p ~qid:q ~mtype:1 Bytes.empty);
+             errno (fun () -> M.msgctl_remove m p ~qid:q);
+             errno (fun () -> M.msgsnd m p ~qid:9999 ~mtype:1 Bytes.empty);
+             (if q2 <> q then "fresh id" else "reused id");
+             string_of_int (M.msgq_depth m ~qid:q);
+           ]));
+  M.run m;
+  Alcotest.(check (list string)) "removed, removed, never allocated, re-get, depth"
+    [ "EIDRM"; "EIDRM"; "EINVAL"; "fresh id"; "0" ] !outcome
+
 let test_msgq_same_key_same_queue () =
   let m = mk () in
   let q1 = ref 0 and q2 = ref 0 in
@@ -555,6 +581,7 @@ let () =
           tc "oversized message EINVAL" test_msgq_oversized_message;
           tc "bad mtype EINVAL" test_msgq_bad_mtype;
           tc "remove wakes EIDRM" test_msgq_remove_wakes_with_eidrm;
+          tc "removed id stays EIDRM" test_msgq_removed_id_stays_eidrm;
           tc "same key same queue" test_msgq_same_key_same_queue;
           tc "depth introspection" test_msgq_depth;
         ] );

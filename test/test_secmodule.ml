@@ -230,6 +230,25 @@ let test_second_session_rejected () =
       | exception Errno.Error (Errno.EEXIST, _) -> failed := true);
   Alcotest.(check bool) "EEXIST" true !failed
 
+(* A client outlives its sessions: closing one takes its exit hook back
+   off the client, so a long-lived client opening session after session
+   does not keep every old one reachable. *)
+let test_closed_sessions_leave_no_exit_hooks () =
+  let m, smod, _ = setup () in
+  let hooks = ref [] in
+  ignore
+    (M.spawn m ~name:"client" (fun p ->
+         for _ = 1 to 5 do
+           let conn =
+             Stub.connect smod p ~module_name:"testmod" ~version:1 ~credential:(cred "a")
+           in
+           ignore (Stub.call conn ~func:"test_incr" [| 1 |]);
+           Stub.close conn;
+           hooks := List.length p.Proc.exit_hooks :: !hooks
+         done));
+  M.run m;
+  Alcotest.(check (list int)) "hook count after each close" [ 0; 0; 0; 0; 0 ] !hooks
+
 let test_handshake_trace_order () =
   (* Figure 1: start_session precedes session_info precedes first call. *)
   let m, smod, _ = setup () in
@@ -478,6 +497,53 @@ let test_registered_image_is_ciphertext () =
   let plain = test_image () in
   Alcotest.(check bool) "ciphertext differs" false
     (Bytes.equal entry.Registry.image.Smof.text plain.Smof.text)
+
+(* A module whose text was encrypted under one key but registered with
+   another must fail closed on every attach path: connect gets ENOEXEC,
+   no OCaml exception escapes, and no session or frame is left behind. *)
+let test_wrong_kernel_key_enoexec () =
+  let attach_paths =
+    [
+      ("cold fork", fun _ -> ());
+      ("smodd pooled spawn", fun smod -> ignore (Smod_pool.Smodd.install smod ()));
+      ("mux attach", fun smod -> Smod.set_session_mux smod true);
+    ]
+  in
+  List.iter
+    (fun (path, configure) ->
+      let m = M.create ~jitter:0.0 () in
+      let smod = Smod.install m () in
+      configure smod;
+      let nonce = Bytes.make 16 'n' in
+      let image = Smof.encrypt_text (test_image ()) ~key:"0123456789abcdef" ~nonce in
+      ignore
+        (Smod.register smod ~image ~protection:Registry.Encrypted ~kernel_key:"fedcba9876543210"
+           ~kernel_nonce:nonce ());
+      let outcome = ref "not run" and frame_delta = ref 0 in
+      ignore
+        (M.spawn m ~name:"client" (fun p ->
+             let live () = Smod_vmem.Phys.live_frames (M.phys m) in
+             let connect name =
+               Stub.connect smod p ~module_name:name ~version:1 ~credential:(cred "a")
+             in
+             (* A refused lookup first, so the client-side pages the stub
+                writes its descriptor to are already mapped. *)
+             (try ignore (connect "ghost") with Errno.Error (Errno.ENOENT, _) -> ());
+             let before = live () in
+             (outcome :=
+                match connect "testmod" with
+                | _ -> "connected"
+                | exception Errno.Error (e, _) -> Errno.to_string e
+                | exception e -> "OCaml exception " ^ Printexc.to_string e);
+             frame_delta := live () - before));
+      M.run m;
+      Alcotest.(check string) (path ^ ": connect fails") "ENOEXEC" !outcome;
+      Alcotest.(check int)
+        (path ^ ": no session left")
+        0
+        (List.length (Smod.active_sessions smod));
+      Alcotest.(check int) (path ^ ": no live-frame delta") 0 !frame_delta)
+    attach_paths
 
 let test_tampered_handle_text_detected () =
   (* Native symbols are integrity-checked against the registered image on
@@ -1305,6 +1371,7 @@ let () =
           tc "multiple args" test_session_multiple_args;
           tc "unknown module" test_session_unknown_module;
           tc "wrong version" test_session_wrong_version;
+          tc "closed sessions leave no exit hooks" test_closed_sessions_leave_no_exit_hooks;
           tc "second session rejected" test_second_session_rejected;
           tc "handshake trace order" test_handshake_trace_order;
           tc "roles and flags" test_session_roles_and_flags;
@@ -1332,6 +1399,7 @@ let () =
         [
           tc "encrypted module executes" test_encrypted_module_executes;
           tc "registered image is ciphertext" test_registered_image_is_ciphertext;
+          tc "wrong kernel key -> ENOEXEC" test_wrong_kernel_key_enoexec;
           tc "tampered stub denied" test_tampered_handle_text_detected;
           tc "native integrity check" test_native_integrity_check;
           tc "unbound native" test_unbound_native_enosys;
