@@ -2,21 +2,19 @@
 
    The experiment catalog lives in lib/bench_kit/experiments.ml; this file
    is only the CLI around it — section selection, the --jobs domain-parallel
-   runner, JSON emission and the bechamel wall-clock cross-check.
+   runner and JSON emission.  `smodctl bench status` lists the catalog.
 
-   The primary output is SIMULATED microseconds from the calibrated cycle
-   model (see lib/sim/cost_model.ml and DESIGN.md §2); the bechamel section
-   cross-checks that the relative wall-clock cost of each simulated path
-   moves in the same direction.
+   The output is SIMULATED microseconds from the calibrated cycle model
+   (see lib/sim/cost_model.ml and DESIGN.md §2).  Host wall-clock is
+   perfbench's job (perfbench/run.py), not this harness's.
 
-   With --json PATH every experiment row (E1, E9..E20) plus a snapshot of
+   With --json PATH every experiment row (E1, E9..E25) plus a snapshot of
    the metric registry is also written as a versioned smod-bench JSON
    document — the artifact bin/benchdiff.exe gates CI on.  The document is
    identical for any --jobs value: each task runs in a private world with
    coordinate-derived seeds and a fresh metric registry, and snapshots
    merge in task order. *)
 
-module Machine = Smod_kern.Machine
 module Cost = Smod_sim.Cost_model
 open Smod_bench_kit
 
@@ -26,92 +24,6 @@ let print_testbed () =
     Cost.cycles_per_us;
   Printf.printf "os:  simulated OpenBSD 3.6 kernel (SecModule syscalls 301-320)\n";
   Printf.printf "mem: 512 MB simulated, 4 KB pages\n\n"
-
-let all_ids = List.map (fun s -> s.Experiments.s_id) Experiments.sections
-
-(* --only accepts catalog ids plus a few aliases. *)
-let resolve_section = function
-  | "figure8" -> Some [ "e1" ]
-  | "ablations" ->
-      Some (List.filter (fun id -> id <> "e1") all_ids)
-  | "wallclock" -> Some []
-  | id -> if Experiments.find id <> None then Some [ id ] else None
-
-let list_sections ~full ~jobs =
-  Printf.printf "%-5s %-6s %10s %10s  %s\n" "id" "tasks" "est-seq" "est-par" "title";
-  List.iter
-    (fun s ->
-      let est = Experiments.estimate_seconds ~full s in
-      let tasks = s.Experiments.s_tasks ~full in
-      Printf.printf "%-5s %-6d %9.1fs %9.1fs  %s\n" s.Experiments.s_id tasks est
-        (est /. float_of_int (min jobs tasks))
-        s.Experiments.s_title)
-    Experiments.sections;
-  Printf.printf "\n(estimates assume ~%.0fk simulated dispatches/s per core; --jobs %d)\n"
-    (450_000.0 /. 1_000.0) jobs
-
-(* ------------------------------------------------------------------ *)
-(* Wall-clock cross-check via bechamel                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Each "step world" parks a client coroutine that performs exactly one
-   operation per wakeup, so a bechamel run measures the wall-clock cost of
-   one simulated dispatch. *)
-let make_stepper ~op =
-  let world = World.create () in
-  let machine = world.World.machine in
-  let client_pid = ref 0 in
-  World.spawn_seclibc_client world ~name:"bench-step" (fun p conn ->
-      client_pid := p.Smod_kern.Proc.pid;
-      (* The stepper parks between iterations; that idle block is expected,
-         not a deadlock. *)
-      p.Smod_kern.Proc.daemon <- true;
-      let rpc = World.rpc_client world p ~client_port:42000 in
-      let rec loop i =
-        Effect.perform (Smod_kern.Sched.Block (Smod_kern.Sched.Custom "bench-idle"));
-        (match op with
-        | `Getpid -> ignore (Machine.sys_getpid machine p)
-        | `Smod_getpid -> ignore (Smod_libc.Seclibc.Client.getpid conn)
-        | `Smod_incr -> ignore (Smod_libc.Seclibc.Client.test_incr conn i)
-        | `Rpc_incr -> ignore (Smod_rpc.Testincr.incr rpc i));
-        loop (i + 1)
-      in
-      loop 0);
-  Machine.run machine;
-  fun () ->
-    Machine.wakeup machine !client_pid;
-    Machine.run machine
-
-let wallclock () =
-  let open Bechamel in
-  let open Toolkit in
-  print_endline "=== Wall-clock cross-check (bechamel, ns per simulated dispatch) ===";
-  let test name op = Test.make ~name (Staged.stage (make_stepper ~op)) in
-  let grouped =
-    Test.make_grouped ~name:"fig8"
-      [
-        test "native-getpid" `Getpid;
-        test "smod-getpid" `Smod_getpid;
-        test "smod-test-incr" `Smod_incr;
-        test "rpc-test-incr" `Rpc_incr;
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.3) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name est acc ->
-        let ns = match Analyze.OLS.estimates est with Some (e :: _) -> e | _ -> nan in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter (fun (name, ns) -> Printf.printf "  %-24s %12.1f ns/dispatch\n" name ns) rows;
-  print_endline
-    "  (absolute wall-clock is the OCaml simulator's speed, not the paper's\n\
-    \   hardware; only the ordering is meaningful here)\n"
 
 let write_json path doc =
   let oc = open_out path in
@@ -126,61 +38,33 @@ let print_section (s : Experiments.section) (o : Experiments.outcome) =
   else print_endline o.Experiments.rendered;
   print_newline ()
 
-let main full no_wallclock only jobs list json_path =
+let main full only jobs json_path =
   let jobs =
     match jobs with Some j when j >= 1 -> j | Some _ | None -> Runner.default_jobs ()
   in
-  if list then begin
-    list_sections ~full ~jobs;
-    exit 0
-  end;
-  print_testbed ();
-  let requested =
-    match only with
-    | None -> all_ids @ [ "wallclock" ]
-    | Some s -> String.split_on_char ',' s |> List.map String.trim |> List.filter (( <> ) "")
-  in
   let ids =
-    List.concat_map
-      (fun id ->
-        match resolve_section id with
-        | Some ids -> ids
-        | None ->
-            Printf.eprintf "unknown --only section %S\n" id;
-            exit 2)
-      requested
+    match Experiments.resolve only with
+    | Ok ids -> ids
+    | Error msg ->
+        prerr_endline msg;
+        exit 2
   in
-  let wallclock_wanted = (not no_wallclock) && List.mem "wallclock" requested in
+  print_testbed ();
   if (not full) && List.mem "e1" ids then
     print_endline
       "(per-call means are independent of trial length; use --full for the\n\
       \ paper's 1,000,000-call trials)\n";
   let runner = Runner.create ~jobs in
-  let doc =
-    Experiments.run_document ~on_section:print_section ~full ~runner ids
-  in
-  (* The JSON artifact must be written before the bechamel section: the
-     wall-clock steppers dispatch through instrumented paths and would
-     perturb the metric snapshot nondeterministically. *)
-  Option.iter (fun path -> write_json path doc) json_path;
-  if wallclock_wanted then wallclock ()
+  let doc = Experiments.run_document ~on_section:print_section ~full ~runner ids in
+  Option.iter (fun path -> write_json path doc) json_path
 
 open Cmdliner
 
 let full =
   Arg.(value & flag & info [ "full" ] ~doc:"Run the paper-exact call counts (slow).")
 
-let no_wallclock =
-  Arg.(value & flag & info [ "no-wallclock" ] ~doc:"Skip the bechamel wall-clock section.")
-
 let only =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "only" ] ~docv:"BENCH"
-        ~doc:
-          "Run only the given comma-separated sections: figure8 (alias e1), ablations, \
-           e9..e24, wallclock.  Example: --only e1,e16,e18,e19,e20,e24.")
+  Arg.(value & opt (some string) None & info [ "only" ] ~docv:"BENCH" ~doc:Experiments.only_doc)
 
 let jobs =
   Arg.(
@@ -191,12 +75,6 @@ let jobs =
           "Run benchmark tasks on $(docv) domains (default: the number of cores).  \
            Results are identical for any value; --jobs 1 restores fully sequential \
            execution.")
-
-let list =
-  Arg.(
-    value & flag
-    & info [ "list" ]
-        ~doc:"List the experiment catalog with task counts and wall-clock estimates.")
 
 let json_path =
   Arg.(
@@ -209,8 +87,6 @@ let json_path =
 
 let cmd =
   let doc = "Regenerate the paper's tables and figures on the simulated testbed" in
-  Cmd.v
-    (Cmd.info "smod-bench" ~doc)
-    Term.(const main $ full $ no_wallclock $ only $ jobs $ list $ json_path)
+  Cmd.v (Cmd.info "smod-bench" ~doc) Term.(const main $ full $ only $ jobs $ json_path)
 
 let () = exit (Cmd.eval cmd)

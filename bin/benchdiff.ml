@@ -11,7 +11,7 @@
    history table in the file's append order.
 
    Usage:
-     dune exec bin/benchdiff.exe -- bench/baseline.json out.json --gates bench/gates.json
+     dune exec bin/benchdiff.exe -- bench/baselines/<latest>.json out.json --gates bench/gates.json
      dune exec bin/benchdiff.exe -- --trajectory BENCH_TRAJECTORY.json
 
    Exit codes: 0 gate passed / trajectory rendered; 1 regression or

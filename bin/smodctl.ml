@@ -465,19 +465,7 @@ let cmd_bench_status full jobs =
     E.sections;
   Printf.printf "%-5s %6s %9.1fs %9.1fs\n" "total" "" !seq_total !par_total
 
-(* ------------------------ bench capture / promote ------------------ *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
+(* --------------------------- bench capture -------------------------- *)
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -499,33 +487,6 @@ let git_short_sha () =
       | Unix.WEXITED 0 when line <> "" -> line
       | _ -> "nogit")
 
-let bench_all_ids =
-  List.map (fun s -> s.Smod_bench_kit.Experiments.s_id) Smod_bench_kit.Experiments.sections
-
-(* Same section aliases as the harness CLI (bench/main.ml); "wallclock"
-   is accepted and dropped — a capture never runs the bechamel section,
-   its output is host wall-clock and has no place in a dated snapshot. *)
-let bench_resolve = function
-  | "figure8" -> Some [ "e1" ]
-  | "ablations" -> Some (List.filter (fun id -> id <> "e1") bench_all_ids)
-  | "wallclock" -> Some []
-  | id -> if Smod_bench_kit.Experiments.find id <> None then Some [ id ] else None
-
-let bench_section_ids only =
-  let requested =
-    match only with
-    | None -> bench_all_ids
-    | Some s -> String.split_on_char ',' s |> List.map String.trim |> List.filter (( <> ) "")
-  in
-  List.concat_map
-    (fun id ->
-      match bench_resolve id with
-      | Some ids -> ids
-      | None ->
-          Printf.eprintf "unknown --only section %S\n" id;
-          exit 2)
-    requested
-
 let load_trajectory path =
   if Sys.file_exists path then
     try Smod_bench_kit.Trajectory.load path
@@ -542,29 +503,30 @@ let print_headlines (entry : Smod_bench_kit.Trajectory.entry) =
       | None -> Printf.printf "  %-22s %12s\n" key "-")
     entry.Smod_bench_kit.Trajectory.t_values
 
-let append_trajectory path entry =
-  let module T = Smod_bench_kit.Trajectory in
-  let history = T.append (load_trajectory path) entry in
-  write_file path (T.to_string history);
-  Printf.printf "trajectory: %s (%d entries)\n" path (List.length history)
-
 (* Capture one dated snapshot: run the requested sections, stamp the
    capture header (date, commit, jobs, sections), write it under --dir
-   as <date>_<commit>.json and fold its headlines into the trajectory. *)
-let cmd_bench_capture full only jobs no_wallclock dir trajectory_path date commit =
+   as <date>_<commit>.json and fold its headlines into the trajectory.
+   The snapshot the last trajectory entry names is the bench baseline, so
+   a re-baseline is exactly one capture. *)
+let cmd_bench_capture full only jobs dir trajectory_path date commit =
   let module E = Smod_bench_kit.Experiments in
   let module B = Smod_bench_kit.Bench_json in
-  ignore no_wallclock;
+  let module T = Smod_bench_kit.Trajectory in
   let jobs =
     match jobs with
     | Some j when j >= 1 -> j
     | Some _ | None -> Smod_bench_kit.Runner.default_jobs ()
   in
-  let ids = bench_section_ids only in
-  if ids = [] then begin
-    Printf.eprintf "smodctl: nothing to capture (no sections selected)\n";
-    exit 2
-  end;
+  let ids =
+    match E.resolve only with
+    | Ok [] ->
+        Printf.eprintf "smodctl: nothing to capture (no sections selected)\n";
+        exit 2
+    | Ok ids -> ids
+    | Error msg ->
+        Printf.eprintf "smodctl: %s\n" msg;
+        exit 2
+  in
   let date = match date with Some d -> d | None -> utc_date () in
   let commit = match commit with Some c -> c | None -> git_short_sha () in
   let meta = { B.mt_date = date; mt_commit = commit; mt_jobs = jobs; mt_sections = ids } in
@@ -576,32 +538,24 @@ let cmd_bench_capture full only jobs no_wallclock dir trajectory_path date commi
   mkdir_p dir;
   let snapshot = Printf.sprintf "%s_%s.json" date commit in
   let path = Filename.concat dir snapshot in
-  write_file path (B.to_string doc);
-  Printf.printf "wrote %s (%d experiments, %d metrics)\n" path
-    (List.length doc.B.experiments)
-    (List.length doc.B.metrics);
-  let entry = Smod_bench_kit.Trajectory.entry_of_doc ~snapshot doc in
+  (match T.write_snapshot path (B.to_string doc) with
+  | `Written ->
+      Printf.printf "wrote %s (%d experiments, %d metrics)\n" path
+        (List.length doc.B.experiments)
+        (List.length doc.B.metrics)
+  | `Unchanged -> Printf.printf "%s already holds this capture\n" path
+  | `Conflict ->
+      Printf.eprintf
+        "smodctl: %s exists with different contents; refusing to overwrite a dated \
+         snapshot\n"
+        path;
+      exit 2);
+  let entry = T.entry_of_doc ~snapshot doc in
   print_headlines entry;
-  append_trajectory trajectory_path entry
-
-(* Promote a captured snapshot: copy it verbatim over the committed
-   baseline and record its headline row, one step. *)
-let cmd_bench_promote snapshot baseline trajectory_path =
-  let module B = Smod_bench_kit.Bench_json in
-  let raw = read_file snapshot in
-  let doc =
-    try B.of_string raw
-    with Smod_util.Json.Parse_error msg ->
-      Printf.eprintf "smodctl: %s: %s\n" snapshot msg;
-      exit 2
-  in
-  write_file baseline raw;
-  Printf.printf "promoted %s -> %s\n" snapshot baseline;
-  let entry =
-    Smod_bench_kit.Trajectory.entry_of_doc ~snapshot:(Filename.basename snapshot) doc
-  in
-  print_headlines entry;
-  append_trajectory trajectory_path entry
+  let history = T.append (load_trajectory trajectory_path) entry in
+  Out_channel.with_open_bin trajectory_path (fun oc ->
+      output_string oc (T.to_string history));
+  Printf.printf "trajectory: %s (%d entries)\n" trajectory_path (List.length history)
 
 (* ------------------------------- audit ----------------------------- *)
 
@@ -980,21 +934,10 @@ let bench_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "only" ] ~docv:"BENCH"
-          ~doc:
-            "Capture only the given comma-separated sections (ids and the harness \
-             aliases figure8/ablations; wallclock is accepted and skipped).")
+      & info [ "only" ] ~docv:"BENCH" ~doc:Smod_bench_kit.Experiments.only_doc)
   in
   let run_full =
     Arg.(value & flag & info [ "full" ] ~doc:"Run the paper-exact call counts (slow).")
-  in
-  let no_wallclock =
-    Arg.(
-      value & flag
-      & info [ "no-wallclock" ]
-          ~doc:
-            "Accepted for CLI symmetry with the harness; a capture never runs the \
-             bechamel wall-clock section.")
   in
   let dir =
     Arg.(
@@ -1029,32 +972,12 @@ let bench_cmd =
            "Run the bench sections and write a dated, commit-stamped snapshot under \
             --dir, appending its headline metrics to the trajectory")
       Term.(
-        const cmd_bench_capture $ run_full $ only $ jobs $ no_wallclock $ dir $ trajectory
+        const cmd_bench_capture $ run_full $ only $ jobs $ dir $ trajectory
         $ date $ commit)
-  in
-  let snapshot =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"SNAPSHOT" ~doc:"A dated snapshot produced by bench capture.")
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt string "bench/baseline.json"
-      & info [ "baseline" ] ~docv:"PATH" ~doc:"The committed baseline to overwrite.")
-  in
-  let promote_cmd =
-    Cmd.v
-      (Cmd.info "promote"
-         ~doc:
-           "Copy a dated snapshot over the committed baseline and record its headline \
-            row in the trajectory, one step")
-      Term.(const cmd_bench_promote $ snapshot $ baseline $ trajectory)
   in
   Cmd.group
     (Cmd.info "bench" ~doc:"The benchmark harness")
-    [ run_cmd; status_cmd; capture_cmd; promote_cmd ]
+    [ run_cmd; status_cmd; capture_cmd ]
 
 let cluster_cmd =
   let shards =

@@ -455,7 +455,7 @@ let pooling ?(runner = Runner.sequential) ?(sessions = 20) ?(calls = 150)
 let ring_trial ~use_ring ~batch ~rounds ~trial =
   let world = World.create ~seed:(Int64.of_int (5000 + (13 * trial))) ~with_rpc:false () in
   let clock = Machine.clock world.World.machine in
-  let mean = ref Float.nan and p99 = ref Float.nan in
+  let timing = ref (Float.nan, Float.nan) in
   World.spawn_seclibc_client world ~name:"ring-bench" (fun _p conn ->
       if use_ring then ignore (Stub.arm_ring conn);
       let argss = List.init batch (fun i -> [| i |]) in
@@ -463,18 +463,9 @@ let ring_trial ~use_ring ~batch ~rounds ~trial =
         if use_ring then ignore (Stub.call_batch conn ~func:"test_incr" argss)
         else List.iter (fun args -> ignore (Stub.call conn ~func:"test_incr" args)) argss
       in
-      (* Warm the session (symbol lookup, ring registration). *)
-      do_batch ();
-      let samples = Array.make rounds 0.0 in
-      for r = 0 to rounds - 1 do
-        let t0 = Clock.now_cycles clock in
-        do_batch ();
-        samples.(r) <- Clock.elapsed_us clock ~since:t0 /. float_of_int batch
-      done;
-      mean := Stats.mean samples;
-      p99 := Stats.percentile samples 99.0);
+      timing := Trial.time_batches ~clock ~batch ~rounds do_batch);
   World.run world;
-  (!mean, !p99)
+  !timing
 
 let ring_dispatch ?(runner = Runner.sequential) ?(batches = [ 1; 4; 16; 64 ]) ?(rounds = 200)
     ?(trials = 5) () =
@@ -539,7 +530,7 @@ let compile_trial ~use_ring ~compile ~n ~batch ~rounds ~trial =
   in
   Smod.set_policy_compile world.World.smod compile;
   let clock = Machine.clock world.World.machine in
-  let mean = ref Float.nan and p99 = ref Float.nan in
+  let timing = ref (Float.nan, Float.nan) in
   World.spawn_seclibc_client world ~name:"compile-bench" (fun _p conn ->
       if use_ring then ignore (Stub.arm_ring conn);
       let argss = List.init batch (fun i -> [| i |]) in
@@ -547,19 +538,9 @@ let compile_trial ~use_ring ~compile ~n ~batch ~rounds ~trial =
         if use_ring then ignore (Stub.call_batch conn ~func:"test_incr" argss)
         else List.iter (fun args -> ignore (Stub.call conn ~func:"test_incr" args)) argss
       in
-      (* Warm the session: symbol lookup, ring registration and — on the
-         compiled rows — the one-off compilation. *)
-      do_batch ();
-      let samples = Array.make rounds 0.0 in
-      for r = 0 to rounds - 1 do
-        let t0 = Clock.now_cycles clock in
-        do_batch ();
-        samples.(r) <- Clock.elapsed_us clock ~since:t0 /. float_of_int batch
-      done;
-      mean := Stats.mean samples;
-      p99 := Stats.percentile samples 99.0);
+      timing := Trial.time_batches ~clock ~batch ~rounds do_batch);
   World.run world;
-  (!mean, !p99)
+  !timing
 
 (* Per-call latency by assertion count, over both transports and both
    engines.  The msgq rows issue plain calls; the ring rows submit

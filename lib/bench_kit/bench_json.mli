@@ -4,7 +4,8 @@
     row it prints, plus a {!Smod_metrics.snapshot} of the default
     registry, into a versioned JSON document.  [bin/benchdiff.ml] reloads
     two such documents and applies {!compare_docs} — the regression gate
-    CI runs against [bench/baseline.json]. *)
+    CI runs against the latest dated snapshot under [bench/baselines/]
+    (the one the last [BENCH_TRAJECTORY.json] entry names). *)
 
 val schema_name : string
 

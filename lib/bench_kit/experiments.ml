@@ -336,9 +336,34 @@ let sections =
   ]
 
 let find id = List.find_opt (fun s -> s.s_id = id) sections
+let ids = List.map (fun s -> s.s_id) sections
+
+(* One [--only] name: a catalog id or one of the aliases. *)
+let section_ids = function
+  | "figure8" -> Some [ "e1" ]
+  | "ablations" -> Some (List.filter (fun id -> id <> "e1") ids)
+  | id -> if find id <> None then Some [ id ] else None
+
+let resolve = function
+  | None -> Ok ids
+  | Some only ->
+      let rec go acc = function
+        | [] -> Ok (List.concat (List.rev acc))
+        | name :: rest -> (
+            match section_ids name with
+            | Some more -> go (more :: acc) rest
+            | None -> Error (Printf.sprintf "unknown --only section %S" name))
+      in
+      go [] (String.split_on_char ',' only |> List.map String.trim |> List.filter (( <> ) ""))
+
+let only_doc =
+  Printf.sprintf
+    "Run only the given comma-separated sections: %s, or the aliases figure8 (= e1) and \
+     ablations (every section but e1)."
+    (String.concat ", " ids)
 
 (* Rough single-core simulated-dispatch rate of the harness, used only for
-   the --list / bench-status wall-clock estimates; the real number depends
+   the bench-status wall-clock estimates; the real number depends
    on the host, the experiment mix and the cost of each dispatch path. *)
 let approx_dispatch_rate = 450_000.0
 

@@ -29,10 +29,22 @@ val sections : section list
 
 val find : string -> section option
 
+val ids : string list
+(** The catalog's section ids, in catalog order. *)
+
+val resolve : string option -> (string list, string) result
+(** Resolve an [--only] value into section ids.  [None] selects the
+    whole catalog; [Some list] takes comma-separated names, each a
+    catalog id or an alias: [figure8] (= [e1]) or [ablations] (every id
+    but [e1]).  The first unknown name is an [Error] message. *)
+
+val only_doc : string
+(** [--only] help text, listing the catalog's ids. *)
+
 val estimate_seconds : full:bool -> section -> float
 (** Rough sequential wall-clock from [s_dispatches] and a fixed
     calibration constant; divide by the job count for the parallel
-    estimate.  Only for [--list] / [bench status] display. *)
+    estimate.  Only for [smodctl bench status] display. *)
 
 val run_document :
   ?on_section:(section -> outcome -> unit) ->

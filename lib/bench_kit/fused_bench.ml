@@ -29,8 +29,6 @@
    seeds, so the document is bit-identical for any job count. *)
 
 module Machine = Smod_kern.Machine
-module Clock = Smod_sim.Clock
-module Stats = Smod_util.Stats
 module Parse = Smod_keynote.Parse
 module Compile = Smod_keynote.Compile
 module Fuse = Smod_keynote.Fuse
@@ -161,7 +159,7 @@ let cell_trial ~policy ~transport ~batch ~rounds ~seed =
       Smod.set_session_mux smod true
   | Msgq | Ring -> ());
   let clock = Machine.clock world.World.machine in
-  let mean = ref Float.nan and p99 = ref Float.nan in
+  let timing = ref (Float.nan, Float.nan) in
   World.spawn_seclibc_client world ~name:"e24-client" (fun _p conn ->
       (match transport with
       | Msgq -> ()
@@ -172,18 +170,9 @@ let cell_trial ~policy ~transport ~batch ~rounds ~seed =
         | Msgq -> List.iter (fun args -> ignore (Stub.call conn ~func:"test_incr" args)) argss
         | Ring | Poller -> ignore (Stub.call_batch conn ~func:"test_incr" argss)
       in
-      (* Warm: symbol lookup, ring arming, the one-off compile + plan. *)
-      do_batch ();
-      let samples = Array.make rounds 0.0 in
-      for r = 0 to rounds - 1 do
-        let t0 = Clock.now_cycles clock in
-        do_batch ();
-        samples.(r) <- Clock.elapsed_us clock ~since:t0 /. float_of_int batch
-      done;
-      mean := Stats.mean samples;
-      p99 := Stats.percentile samples 99.0);
+      timing := Trial.time_batches ~clock ~batch ~rounds do_batch);
   World.run world;
-  (!mean, !p99)
+  !timing
 
 (* The deny path returns per-slot EACCES results rather than values; the
    cost of refusing a batch is the row. *)
@@ -200,14 +189,7 @@ let deny_trial ~batch ~rounds ~seed =
       ignore (Stub.arm_ring ~nslots:(max batch 16) conn);
       let argss = List.init batch (fun i -> [| i |]) in
       let do_batch () = ignore (Stub.call_batch conn ~func:"test_incr" argss) in
-      do_batch ();
-      let samples = Array.make rounds 0.0 in
-      for r = 0 to rounds - 1 do
-        let t0 = Clock.now_cycles clock in
-        do_batch ();
-        samples.(r) <- Clock.elapsed_us clock ~since:t0 /. float_of_int batch
-      done;
-      mean := Stats.mean samples);
+      mean := fst (Trial.time_batches ~clock ~batch ~rounds do_batch));
   World.run world;
   !mean
 

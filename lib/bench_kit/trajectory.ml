@@ -179,6 +179,17 @@ let of_json j =
 let of_string s = of_json (Json.of_string s)
 let load path = of_string (In_channel.with_open_bin path In_channel.input_all)
 
+(* The latest snapshot is the baseline CI gates against, so a capture
+   never replaces one: a later subset run on the same commit and date
+   would otherwise shrink the gate to the row intersection. *)
+let write_snapshot path contents =
+  if not (Sys.file_exists path) then begin
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    `Written
+  end
+  else if In_channel.with_open_bin path In_channel.input_all = contents then `Unchanged
+  else `Conflict
+
 (* ------------------------------------------------------------------ *)
 (* History                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -4,8 +4,9 @@
 
     Headline metrics are [float option] per capture: a smoke run that
     skipped a section records [None] (JSON null) rather than a fake
-    zero.  [smodctl bench capture] and [bench promote] append entries;
-    [benchdiff --trajectory] renders the history as a table. *)
+    zero.  [smodctl bench capture] appends entries; [benchdiff
+    --trajectory] renders the history as a table.  The snapshot the last
+    entry names is the bench baseline CI gates against. *)
 
 type entry = {
   t_date : string;  (** "YYYY-MM-DD" *)
@@ -39,13 +40,19 @@ val load : string -> entry list
     entries come back in file order, which is append order.  Raises
     [Sys_error] if the file cannot be read, else as {!of_string}. *)
 
+val write_snapshot : string -> string -> [ `Written | `Unchanged | `Conflict ]
+(** [write_snapshot path contents] writes a dated snapshot file.  An
+    existing file with identical bytes is left as it is ([`Unchanged]),
+    so re-capturing a commit is idempotent; one with different bytes is
+    never overwritten ([`Conflict]). *)
+
 val sorted : entry list -> entry list
 (** History order: by date, entries of the same date in the order they
     were appended (a stable sort — commit hashes carry no order). *)
 
 val append : entry list -> entry -> entry list
 (** Append-and-sort; a duplicate (same date, commit and snapshot) is
-    dropped so re-promoting a snapshot is idempotent. *)
+    dropped so re-capturing a snapshot is idempotent. *)
 
 val render : entry list -> string
 (** The metric-history table ([benchdiff --trajectory]). *)

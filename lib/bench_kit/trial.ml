@@ -72,6 +72,16 @@ let run ~clock ?(noise = default_noise) ?(noise_seed = default_noise_seed) spec 
   in
   row_of_means spec trial_means
 
+let time_batches ~clock ~batch ~rounds do_batch =
+  do_batch ();
+  let samples = Array.make rounds 0.0 in
+  for r = 0 to rounds - 1 do
+    let t0 = Clock.now_cycles clock in
+    do_batch ();
+    samples.(r) <- Clock.elapsed_us clock ~since:t0 /. float_of_int batch
+  done;
+  (Stats.mean samples, Stats.percentile samples 99.0)
+
 let figure8_table rows =
   let counts = Table.create [ "Test"; "Number of Calls/Trial"; "Total Number of Trials" ] in
   List.iter

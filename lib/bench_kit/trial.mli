@@ -52,6 +52,15 @@ val run_one :
 val row_of_means : spec -> float array -> row
 (** Assemble a row from per-trial means (index = trial number). *)
 
+val time_batches :
+  clock:Smod_sim.Clock.t -> batch:int -> rounds:int -> (unit -> unit) -> float * float
+(** The batch-latency methodology of E18/E19/E24/E25: call [do_batch]
+    once to warm the session (symbol lookup, ring arming, one-off
+    compiles), then time [rounds] further calls on the simulated clock.
+    Returns the per-call (mean, p99) over the rounds, where each call of
+    [do_batch] issues [batch] calls.  Run it inside the client
+    coroutine. *)
+
 val figure8_table : row list -> string
 (** Render in the layout of the paper's Figure 8. *)
 

@@ -38,8 +38,6 @@
    seeds, so the document is bit-identical for any job count. *)
 
 module Machine = Smod_kern.Machine
-module Clock = Smod_sim.Clock
-module Stats = Smod_util.Stats
 module Parse = Smod_keynote.Parse
 open Secmodule
 
@@ -152,7 +150,7 @@ let cell_trial ~policy ~transport ~batch ~deny_pct ~rounds ~seed =
     (Toolchain.package smod ~image:(image ()) ~protection:Registry.Encrypted ~policy ());
   let clock = Machine.clock world.World.machine in
   let credential = World.credential world in
-  let mean = ref Float.nan and p99 = ref Float.nan in
+  let timing = ref (Float.nan, Float.nan) in
   ignore
     (Machine.spawn world.World.machine ~name:"e25-client" (fun p ->
          Crt0.run_client smod p ~module_name:vec_module_name ~version:1 ~credential
@@ -160,19 +158,9 @@ let cell_trial ~policy ~transport ~batch ~deny_pct ~rounds ~seed =
              ignore (Stub.arm_ring ~nslots:(max batch 16) conn);
              let calls = batch_calls conn ~batch ~deny_pct in
              let do_batch () = ignore (Stub.call_batch_funcs conn calls) in
-             (* Warm: symbol lookup, ring arming, the one-off compile +
-                plan + fused-ctx memo fill. *)
-             do_batch ();
-             let samples = Array.make rounds 0.0 in
-             for r = 0 to rounds - 1 do
-               let t0 = Clock.now_cycles clock in
-               do_batch ();
-               samples.(r) <- Clock.elapsed_us clock ~since:t0 /. float_of_int batch
-             done;
-             mean := Stats.mean samples;
-             p99 := Stats.percentile samples 99.0)));
+             timing := Trial.time_batches ~clock ~batch ~rounds do_batch)));
   World.run world;
-  (!mean, !p99)
+  !timing
 
 (* ------------------------------------------------------------------ *)
 (* The experiment                                                      *)

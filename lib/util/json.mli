@@ -1,7 +1,7 @@
 (** Minimal JSON tree with a pretty-printing emitter and a strict parser.
 
     Written by hand so the bench harness's machine-readable artifacts
-    (see ISSUE: [BENCH_<date>.json], [bench/baseline.json]) need no
+    (dated snapshots under [bench/baselines/], [BENCH_TRAJECTORY.json]) need no
     external dependency.  Integers and floats are distinct constructors so
     counter values round-trip exactly; float emission uses the shortest
     decimal form that parses back to the identical IEEE value. *)

@@ -1,12 +1,14 @@
 (* The benchdiff comparison core (lib/bench_kit/diff.ml) and the
    trajectory record (lib/bench_kit/trajectory.ml): per-metric gates —
    means tighter than p99 — skipped-row accounting, gates.json parsing,
-   and headline history ordering. *)
+   headline history ordering, the dated-snapshot write guard, the
+   [--only] section resolver, and the checked-in baseline itself. *)
 
 module Json = Smod_util.Json
 module Bench_json = Smod_bench_kit.Bench_json
 module Diff = Smod_bench_kit.Diff
 module Trajectory = Smod_bench_kit.Trajectory
+module Experiments = Smod_bench_kit.Experiments
 
 (* A small two-experiment document shaped like the real artifact: a mean
    row, a p99 row (label marks the metric class), and an exact-zero E12
@@ -345,6 +347,99 @@ let test_trajectory_old_entries_tolerated () =
   Alcotest.(check bool) "absent e24 metric shows a dash" true
     (contains ~affix:"-" old_row && not (contains ~affix:"0.9630" old_row))
 
+(* A re-capture of the same commit on the same date is a no-op; a
+   different capture (say a later --only subset) never replaces the
+   snapshot CI gates against. *)
+let test_snapshot_write_guard () =
+  let path = Filename.temp_file "snapshot" ".json" in
+  Sys.remove path;
+  let full = Bench_json.to_string (doc ()) in
+  let subset = Bench_json.to_string { (doc ()) with Bench_json.experiments = [] } in
+  Alcotest.(check bool) "fresh file written" true (Trajectory.write_snapshot path full = `Written);
+  Alcotest.(check bool) "identical re-capture is idempotent" true
+    (Trajectory.write_snapshot path full = `Unchanged);
+  Alcotest.(check bool) "different bytes refused" true
+    (Trajectory.write_snapshot path subset = `Conflict);
+  Alcotest.(check string) "snapshot left intact" full
+    (In_channel.with_open_bin path In_channel.input_all);
+  Sys.remove path
+
+let resolve only =
+  match Experiments.resolve only with Ok ids -> ids | Error msg -> Alcotest.fail msg
+
+let test_resolve_aliases () =
+  Alcotest.(check (list string)) "no --only is the catalog" Experiments.ids (resolve None);
+  Alcotest.(check (list string)) "figure8 is e1" [ "e1" ] (resolve (Some "figure8"));
+  Alcotest.(check (list string)) "ablations is every id but e1"
+    (List.filter (fun id -> id <> "e1") Experiments.ids)
+    (resolve (Some "ablations"));
+  Alcotest.(check (list string)) "comma list, blanks trimmed" [ "e1"; "e18"; "e25" ]
+    (resolve (Some " e1, e18,,e25 "))
+
+let test_resolve_unknown () =
+  List.iter
+    (fun (only, bad) ->
+      match Experiments.resolve (Some only) with
+      | Ok _ -> Alcotest.failf "%S resolved" only
+      | Error msg -> Alcotest.(check bool) ("error names " ^ bad) true (contains ~affix:bad msg))
+    [ ("wallclock", "wallclock"); ("e1,e99", "e99") ]
+
+let test_only_doc_lists_catalog () =
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " in --only help") true
+        (contains ~affix:id Experiments.only_doc))
+    Experiments.ids
+
+(* The repo root, found by walking up from the working directory: under
+   [dune runtest] that is the build copy declared in the test's deps
+   (_build/default), under [dune exec] from a checkout the checkout. *)
+let repo_root () =
+  let rec up dir =
+    if Sys.file_exists (Filename.concat dir "BENCH_TRAJECTORY.json") then dir
+    else
+      let parent = Filename.dirname dir in
+      if parent = dir then Alcotest.fail "no BENCH_TRAJECTORY.json above the working directory"
+      else up parent
+  in
+  up (Sys.getcwd ())
+
+let load_doc path = Bench_json.of_string (In_channel.with_open_bin path In_channel.input_all)
+
+let latest_baseline root =
+  let history = Trajectory.load (Filename.concat root "BENCH_TRAJECTORY.json") in
+  let latest = List.nth history (List.length history - 1) in
+  Filename.concat (Filename.concat root "bench/baselines") latest.Trajectory.t_snapshot
+
+(* The repo's bench baseline is the snapshot the last trajectory entry
+   names: it must exist, parse as the current bench schema and cover
+   every catalog section, or CI's gate would silently compare less. *)
+let test_latest_baseline_present () =
+  let path = latest_baseline (repo_root ()) in
+  Alcotest.(check bool) (path ^ " exists") true (Sys.file_exists path);
+  match (load_doc path).Bench_json.meta with
+  | None -> Alcotest.failf "%s has no capture header" path
+  | Some meta ->
+      List.iter
+        (fun id ->
+          Alcotest.(check bool) (id ^ " captured") true
+            (List.mem id meta.Bench_json.mt_sections))
+        Experiments.ids
+
+(* perfbench's Figure 8 anchor still reads the E1 rows of
+   bench/baseline.json; they must be the latest baseline's E1 rows, so a
+   re-baseline that moves E1 also has to refresh that file. *)
+let test_figure8_anchor_matches_latest () =
+  let root = repo_root () in
+  let e1 path =
+    match List.find_opt (fun e -> e.Bench_json.e_id = "e1") (load_doc path).Bench_json.experiments with
+    | Some e -> e.Bench_json.e_rows
+    | None -> Alcotest.failf "%s has no e1 rows" path
+  in
+  let anchor = e1 (Filename.concat root "bench/baseline.json") in
+  Alcotest.(check bool) "anchor E1 rows = latest baseline E1 rows" true
+    (anchor = e1 (latest_baseline root))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "benchdiff"
@@ -371,5 +466,17 @@ let () =
             test_trajectory_file_renders_append_order;
           tc "e9 least-squares slope" test_trajectory_slope;
           tc "old entries tolerate new headlines" test_trajectory_old_entries_tolerated;
+          tc "snapshot write guard" test_snapshot_write_guard;
+        ] );
+      ( "sections",
+        [
+          tc "aliases and comma lists" test_resolve_aliases;
+          tc "unknown section is an error" test_resolve_unknown;
+          tc "--only help lists the catalog" test_only_doc_lists_catalog;
+        ] );
+      ( "repo",
+        [
+          tc "latest baseline covers the catalog" test_latest_baseline_present;
+          tc "figure 8 anchor matches latest baseline" test_figure8_anchor_matches_latest;
         ] );
     ]
