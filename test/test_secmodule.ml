@@ -267,6 +267,46 @@ let test_handshake_trace_order () =
   Alcotest.(check bool) "both traced" true (start >= 0 && info >= 0);
   Alcotest.(check bool) "ordered" true (start < info)
 
+(* A cold session emits about five trace events.  Once the machine's
+   default 4,096-event trace is full, each further event overwrites one
+   ring slot, so a session made after the trace has filled allocates as
+   much as one made before it (a trace that copied its contents per event
+   would show a session cost growing with the trace's capacity). *)
+let test_session_allocation_flat_after_trace_fills () =
+  let m = M.create ~jitter:0.0 () in
+  let smod = Smod.install m () in
+  ignore (Smod_libc.Seclibc.install smod ());
+  let batch = 50 and skip = 950 in
+  let early = ref 0.0 and late = ref 0.0 in
+  ignore
+    (M.spawn m ~name:"client" (fun p ->
+         let session () =
+           let conn =
+             Stub.connect smod p ~module_name:Smod_libc.Seclibc.module_name
+               ~version:Smod_libc.Seclibc.version ~credential:(cred "alice")
+           in
+           ignore (Smod_libc.Seclibc.Client.test_incr conn 1);
+           Stub.close conn
+         in
+         let measure () =
+           let before = Gc.minor_words () in
+           for _ = 1 to batch do
+             session ()
+           done;
+           (Gc.minor_words () -. before) /. float_of_int batch
+         in
+         early := measure ();
+         for _ = 1 to skip do
+           session ()
+         done;
+         late := measure ()));
+  M.run m;
+  Alcotest.(check int) "trace is full" 4096 (List.length (Smod_sim.Trace.events (M.trace m)));
+  Alcotest.(check bool)
+    (Printf.sprintf "sessions 1,001-1,050 (%.0f words) within 10%% of sessions 1-50 (%.0f)"
+       !late !early)
+    true (Float.abs (!late -. !early) <= 0.10 *. !early)
+
 let test_session_roles_and_flags () =
   let m, smod, _ = setup () in
   in_client m smod (fun p _conn ->
@@ -1374,6 +1414,8 @@ let () =
           tc "closed sessions leave no exit hooks" test_closed_sessions_leave_no_exit_hooks;
           tc "second session rejected" test_second_session_rejected;
           tc "handshake trace order" test_handshake_trace_order;
+          tc "session allocation flat after trace fills"
+            test_session_allocation_flat_after_trace_fills;
           tc "roles and flags" test_session_roles_and_flags;
         ] );
       ( "address space (Fig 2)",

@@ -130,27 +130,103 @@ let test_trace_order_and_labels () =
   Alcotest.(check bool) "timestamps increase" true
     ((List.nth events 0).Trace.timestamp_us < (List.nth events 1).Trace.timestamp_us)
 
-let test_trace_capacity_drops_oldest () =
-  let c = Clock.create () in
-  let t = Trace.create ~capacity:3 () in
-  List.iter (fun l -> Trace.emit t ~clock:c ~actor:"x" l) [ "1"; "2"; "3"; "4"; "5" ];
-  Alcotest.(check (list string)) "last three" [ "3"; "4"; "5" ] (Trace.labels t)
-
 let test_trace_disable () =
   let c = Clock.create () in
   let t = Trace.create ~enabled:false () in
   Trace.emit t ~clock:c ~actor:"x" "ignored";
   Alcotest.(check (list string)) "nothing recorded" [] (Trace.labels t);
+  let formatted = ref 0 in
+  let pp_counted ppf () =
+    incr formatted;
+    Format.pp_print_string ppf "counted"
+  in
+  Trace.emitf t ~clock:c ~actor:"x" "%a" pp_counted ();
+  Alcotest.(check int) "disabled: label not formatted" 0 !formatted;
   Trace.enable t;
   Trace.emit t ~clock:c ~actor:"x" "kept";
-  Alcotest.(check (list string)) "recorded after enable" [ "kept" ] (Trace.labels t)
+  Trace.emitf t ~clock:c ~actor:"x" "%a" pp_counted ();
+  Alcotest.(check int) "enabled: label formatted at the call" 1 !formatted;
+  Alcotest.(check (list string)) "recorded after enable" [ "kept"; "counted" ] (Trace.labels t)
+
+let emit_numbered t ~clock ~from ~upto =
+  for i = from to upto do
+    Clock.charge clock Cost.Trap_enter;
+    Trace.emit t ~clock ~actor:"x" (string_of_int i)
+  done
+
+let test_trace_capacity_drops_oldest () =
+  let c = Clock.create () in
+  let t = Trace.create ~capacity:3 () in
+  List.iter (fun l -> Trace.emit t ~clock:c ~actor:"x" l) [ "1"; "2"; "3"; "4"; "5" ];
+  Alcotest.(check (list string)) "last three" [ "3"; "4"; "5" ] (Trace.labels t);
+  let t = Trace.create ~capacity:5 () in
+  emit_numbered t ~clock:c ~from:1 ~upto:23;
+  Alcotest.(check (list string))
+    "after wrapping four times, newest five, oldest first" [ "19"; "20"; "21"; "22"; "23" ]
+    (Trace.labels t);
+  let rec non_decreasing = function
+    | a :: (b :: _ as rest) ->
+        a.Trace.timestamp_us <= b.Trace.timestamp_us && non_decreasing rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "timestamps never decrease" true (non_decreasing (Trace.events t))
 
 let test_trace_clear () =
   let c = Clock.create () in
   let t = Trace.create () in
   Trace.emit t ~clock:c ~actor:"x" "gone";
   Trace.clear t;
-  Alcotest.(check (list string)) "cleared" [] (Trace.labels t)
+  Alcotest.(check (list string)) "cleared" [] (Trace.labels t);
+  let t = Trace.create ~capacity:4 () in
+  emit_numbered t ~clock:c ~from:1 ~upto:10;
+  Trace.clear t;
+  Alcotest.(check (list string)) "cleared after a wrap" [] (Trace.labels t);
+  emit_numbered t ~clock:c ~from:11 ~upto:13;
+  Alcotest.(check (list string)) "only the new events" [ "11"; "12"; "13" ] (Trace.labels t)
+
+let test_trace_small_capacities () =
+  let c = Clock.create () in
+  let one = Trace.create ~capacity:1 () in
+  emit_numbered one ~clock:c ~from:1 ~upto:3;
+  Alcotest.(check (list string)) "capacity 1 keeps the newest" [ "3" ] (Trace.labels one);
+  let zero = Trace.create ~capacity:0 () in
+  emit_numbered zero ~clock:c ~from:1 ~upto:3;
+  Trace.emitf zero ~clock:c ~actor:"x" "formatted %d" 4;
+  Alcotest.(check (list string)) "capacity 0 records nothing" [] (Trace.labels zero);
+  Alcotest.check_raises "negative capacity" (Invalid_argument "Trace.create: negative capacity")
+    (fun () -> ignore (Trace.create ~capacity:(-1) ()))
+
+let test_trace_disable_after_wrap () =
+  let c = Clock.create () in
+  let t = Trace.create ~capacity:3 () in
+  emit_numbered t ~clock:c ~from:1 ~upto:7;
+  Trace.disable t;
+  emit_numbered t ~clock:c ~from:8 ~upto:9;
+  Trace.emitf t ~clock:c ~actor:"x" "%d" 10;
+  Alcotest.(check (list string)) "contents kept" [ "5"; "6"; "7" ] (Trace.labels t);
+  Trace.enable t;
+  emit_numbered t ~clock:c ~from:11 ~upto:11;
+  Alcotest.(check (list string)) "recording resumes" [ "6"; "7"; "11" ] (Trace.labels t)
+
+(* A full ring overwrites one slot per emit, so an emit costs the event
+   record and its boxed timestamp whatever the capacity. *)
+let test_trace_emit_allocation () =
+  let c = Clock.create () in
+  let t = Trace.create () in
+  let label = "steady" in
+  for _ = 1 to 4096 do
+    Trace.emit t ~clock:c ~actor:"x" label
+  done;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    Trace.emit t ~clock:c ~actor:"x" label
+  done;
+  let per_emit = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per emit on a full ring <= 8" per_emit)
+    true (per_emit <= 8.0);
+  Alcotest.(check int) "ring stays full" 4096 (List.length (Trace.events t))
 
 (* ------------------------------ trial ------------------------------- *)
 
@@ -262,6 +338,9 @@ let () =
           tc "capacity ring" test_trace_capacity_drops_oldest;
           tc "disable/enable" test_trace_disable;
           tc "clear" test_trace_clear;
+          tc "capacities 1, 0, negative" test_trace_small_capacities;
+          tc "disable after wrap" test_trace_disable_after_wrap;
+          tc "emit allocation" test_trace_emit_allocation;
         ] );
       ( "trial runner",
         [
