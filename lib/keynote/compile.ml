@@ -353,13 +353,6 @@ let compile ?origin ~policy ~credentials ~requesters ~levels () =
 (* The interpreter loop                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Same comparison rule as [Eval]: numeric iff both sides parse as
-   integers, lexicographic otherwise; absent attributes read as "". *)
-let compare_values a b =
-  match (int_of_string_opt a, int_of_string_opt b) with
-  | Some ia, Some ib -> compare ia ib
-  | _ -> compare a b
-
 let m_scope = Smod_metrics.scope "keynote"
 let m_compiled_runs = Smod_metrics.Scope.counter m_scope "compiled_runs"
 let m_compiled_ops = Smod_metrics.Scope.counter m_scope "compiled_ops"
@@ -380,7 +373,7 @@ let run t ~attrs =
   in
   let operand_value = function
     | O_str s -> s
-    | O_attr a -> ( match List.assoc_opt a attrs with Some v -> v | None -> "")
+    | O_attr a -> Eval.attr_value a attrs
   in
   let acc = ref 0 in
   let ops = ref 0 in
@@ -389,7 +382,7 @@ let run t ~attrs =
     incr ops;
     match t.instrs.(!pc) with
     | Test (a, op, b) ->
-        let c = compare_values (operand_value a) (operand_value b) in
+        let c = Eval.compare_values (operand_value a) (operand_value b) in
         let holds =
           match op with
           | Ast.Eq -> c = 0

@@ -7,15 +7,34 @@ let m_scope = Smod_metrics.scope "keynote"
 let m_queries = Smod_metrics.Scope.counter m_scope "queries"
 let m_assertions_evaluated = Smod_metrics.Scope.counter m_scope "assertions_evaluated"
 
+let rec attr_value name = function
+  | [] -> ""
+  | (k, v) :: rest -> if String.equal k name then v else attr_value name rest
+
 let term_value ~attrs = function
   | Ast.Str s -> s
   | Ast.Int i -> string_of_int i
-  | Ast.Attr a -> ( match List.assoc_opt a attrs with Some v -> v | None -> "")
+  | Ast.Attr a -> attr_value a attrs
+
+let is_digit c = c >= '0' && c <= '9'
+
+(* [int_of_string] accepts only text that starts, after an optional sign,
+   with a decimal digit.  Testing that first keeps the usual
+   string-vs-string comparison from raising and catching [Failure]. *)
+let may_be_int s =
+  let n = String.length s in
+  if n = 0 then false
+  else
+    match s.[0] with
+    | '-' | '+' -> n > 1 && is_digit s.[1]
+    | c -> is_digit c
 
 let compare_values a b =
-  match (int_of_string_opt a, int_of_string_opt b) with
-  | Some ia, Some ib -> compare ia ib
-  | _ -> compare a b
+  if may_be_int a && may_be_int b then
+    match (int_of_string_opt a, int_of_string_opt b) with
+    | Some ia, Some ib -> Int.compare ia ib
+    | _ -> String.compare a b
+  else String.compare a b
 
 let rec eval_expr ~attrs = function
   | Ast.True -> true
@@ -24,8 +43,7 @@ let rec eval_expr ~attrs = function
   | Ast.And (a, b) -> eval_expr ~attrs a && eval_expr ~attrs b
   | Ast.Or (a, b) -> eval_expr ~attrs a || eval_expr ~attrs b
   | Ast.Cmp (ta, op, tb) -> (
-      let va = term_value ~attrs ta and vb = term_value ~attrs tb in
-      let c = compare_values va vb in
+      let c = compare_values (term_value ~attrs ta) (term_value ~attrs tb) in
       match op with
       | Ast.Eq -> c = 0
       | Ast.Ne -> c <> 0
@@ -38,63 +56,93 @@ let kth_largest k values =
   let sorted = List.sort (fun a b -> compare b a) values in
   match List.nth_opt sorted (k - 1) with Some v -> v | None -> 0
 
-let query ~policy ~credentials ~attrs ~requesters ~levels =
-  if Array.length levels = 0 then invalid_arg "Eval.query: empty levels";
-  let max_index = Array.length levels - 1 in
-  let level_index name =
-    let rec find i =
-      if i > max_index then
-        invalid_arg (Printf.sprintf "Eval.query: unknown compliance level %S" name)
-      else if levels.(i) = name then i
-      else find (i + 1)
-    in
-    find 0
+(* One query's inputs and running state.  The evaluation below is written
+   as top-level functions over this record rather than closures inside
+   [query], so a query allocates the record and its result and little
+   else. *)
+type ctx = {
+  credentials : Ast.assertion list;
+  attrs : (string * string) list;
+  requesters : string list;
+  levels : string array;
+  mutable evaluated : int;
+  mutable tables : ((string, unit) Hashtbl.t * (string, int) Hashtbl.t) option;
+      (* principals in progress, and memoised principal values; created
+         on the first licensee that is not a requester *)
+}
+
+let level_index ctx name =
+  let rec find i =
+    if i >= Array.length ctx.levels then
+      invalid_arg (Printf.sprintf "Eval.query: unknown compliance level %S" name)
+    else if String.equal ctx.levels.(i) name then i
+    else find (i + 1)
   in
-  let evaluated = ref 0 in
-  let conditions_value (a : Ast.assertion) =
-    List.fold_left
-      (fun acc (c : Ast.clause) ->
-        if eval_expr ~attrs c.guard then max acc (level_index c.value) else acc)
-      0 a.conditions
-  in
-  (* Principal values with cycle protection: principals currently being
-     evaluated contribute minimum trust. *)
-  let in_progress = Hashtbl.create 16 in
-  let memo = Hashtbl.create 16 in
-  let rec principal_value p =
-    if List.mem p requesters then max_index
-    else if Hashtbl.mem in_progress p then 0
+  find 0
+
+let rec conditions_value ctx acc = function
+  | [] -> acc
+  | (c : Ast.clause) :: rest ->
+      let acc =
+        if eval_expr ~attrs:ctx.attrs c.guard then Int.max acc (level_index ctx c.value)
+        else acc
+      in
+      conditions_value ctx acc rest
+
+let rec is_requester p = function
+  | [] -> false
+  | r :: rest -> String.equal r p || is_requester p rest
+
+let tables ctx =
+  match ctx.tables with
+  | Some t -> t
+  | None ->
+      let t = (Hashtbl.create 16, Hashtbl.create 16) in
+      ctx.tables <- Some t;
+      t
+
+(* Principal values with cycle protection: principals currently being
+   evaluated contribute minimum trust. *)
+let rec principal_value ctx p =
+  if is_requester p ctx.requesters then Array.length ctx.levels - 1
+  else begin
+    let in_progress, memo = tables ctx in
+    if Hashtbl.mem in_progress p then 0
     else begin
       match Hashtbl.find_opt memo p with
       | Some v -> v
       | None ->
           Hashtbl.replace in_progress p ();
-          let v =
-            List.fold_left
-              (fun acc (a : Ast.assertion) ->
-                if a.authorizer = p then max acc (assertion_value a) else acc)
-              0 credentials
-          in
+          let v = max_authorized_by ctx p 0 ctx.credentials in
           Hashtbl.remove in_progress p;
           Hashtbl.replace memo p v;
           v
     end
-  and licensees_value = function
-    | Ast.L_empty -> 0
-    | Ast.L_principal p -> principal_value p
-    | Ast.L_and (a, b) -> min (licensees_value a) (licensees_value b)
-    | Ast.L_or (a, b) -> max (licensees_value a) (licensees_value b)
-    | Ast.L_kof (k, ls) -> kth_largest k (List.map licensees_value ls)
-  and assertion_value (a : Ast.assertion) =
-    incr evaluated;
-    min (conditions_value a) (licensees_value a.licensees)
-  in
-  let index =
-    List.fold_left
-      (fun acc (a : Ast.assertion) ->
-        if a.authorizer = "POLICY" then max acc (assertion_value a) else acc)
-      0 policy
-  in
+  end
+
+and max_authorized_by ctx p acc = function
+  | [] -> acc
+  | (a : Ast.assertion) :: rest ->
+      let acc =
+        if String.equal a.authorizer p then Int.max acc (assertion_value ctx a) else acc
+      in
+      max_authorized_by ctx p acc rest
+
+and licensees_value ctx = function
+  | Ast.L_empty -> 0
+  | Ast.L_principal p -> principal_value ctx p
+  | Ast.L_and (a, b) -> Int.min (licensees_value ctx a) (licensees_value ctx b)
+  | Ast.L_or (a, b) -> Int.max (licensees_value ctx a) (licensees_value ctx b)
+  | Ast.L_kof (k, ls) -> kth_largest k (List.map (licensees_value ctx) ls)
+
+and assertion_value ctx (a : Ast.assertion) =
+  ctx.evaluated <- ctx.evaluated + 1;
+  Int.min (conditions_value ctx 0 a.conditions) (licensees_value ctx a.licensees)
+
+let query ~policy ~credentials ~attrs ~requesters ~levels =
+  if Array.length levels = 0 then invalid_arg "Eval.query: empty levels";
+  let ctx = { credentials; attrs; requesters; levels; evaluated = 0; tables = None } in
+  let index = max_authorized_by ctx "POLICY" 0 policy in
   Smod_metrics.Counter.incr m_queries;
-  Smod_metrics.Counter.add m_assertions_evaluated !evaluated;
-  { level = levels.(index); index; assertions_evaluated = !evaluated }
+  Smod_metrics.Counter.add m_assertions_evaluated ctx.evaluated;
+  { level = levels.(index); index; assertions_evaluated = ctx.evaluated }

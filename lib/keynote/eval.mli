@@ -21,6 +21,19 @@ type result = {
           prediction (§5) *)
 }
 
+val attr_value : string -> (string * string) list -> string
+(** [attr_value name attrs] is the first value bound to [name], or [""]
+    when [name] is absent: how every policy engine reads an attribute. *)
+
+val compare_values : string -> string -> int
+(** The comparison rule of every policy engine ([eval_expr], [Compile.run],
+    [Vexec]): numeric when both sides parse as OCaml integers
+    ([int_of_string]), lexicographic ([String.compare]) otherwise.  The
+    result's sign is that of [compare] under this rule.  Only text that
+    starts with a decimal digit, after an optional sign, is handed to
+    [int_of_string], so comparing two non-numeric strings never raises
+    internally. *)
+
 val eval_expr : attrs:(string * string) list -> Ast.expr -> bool
 (** Guard evaluation: comparisons are numeric when both sides are integer
     literals or attribute values that parse as integers, lexicographic

@@ -74,14 +74,13 @@ let walk plan seg_ids ~nodes ~lanes =
   let passes = ref 0 and units = ref 0 in
   let operand_value k = function
     | Compile.O_str s -> s
-    | Compile.O_attr a -> (
-        match List.assoc_opt a lanes.(k).l_attrs with Some v -> v | None -> "")
+    | Compile.O_attr a -> Eval.attr_value a lanes.(k).l_attrs
   in
   let test k a op b =
-    holds op (Compile.compare_values (operand_value k a) (operand_value k b))
+    holds op (Eval.compare_values (operand_value k a) (operand_value k b))
   in
   let otest k f op b =
-    holds op (Compile.compare_values (origin_value lanes.(k).l_origin f) (operand_value k b))
+    holds op (Eval.compare_values (origin_value lanes.(k).l_origin f) (operand_value k b))
   in
   (* One opcode for one lane over lane [k]'s columns.  Updates [pc.(k)]. *)
   let exec_one op k =

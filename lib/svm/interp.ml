@@ -1,6 +1,5 @@
 module Aspace = Smod_vmem.Aspace
 module Layout = Smod_vmem.Layout
-module Prot = Smod_vmem.Prot
 module Clock = Smod_sim.Clock
 module Cost = Smod_sim.Cost_model
 
@@ -29,31 +28,25 @@ let to_signed v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 let run env ~code_base ~code_len ?(entry = 0) ~args_base () =
   Smod_metrics.Counter.incr m_runs;
   let aspace = env.aspace in
-  (* Instruction fetch happens through the address space with execute
-     access: verify each touched code page once, then read the bytes. *)
-  let verified_pages = Hashtbl.create 8 in
-  let fetch_check addr =
-    let vpn = Layout.vpn_of_addr addr in
-    if not (Hashtbl.mem verified_pages vpn) then begin
-      Aspace.fault aspace ~addr ~access:Prot.Exec;
-      Hashtbl.replace verified_pages vpn ()
-    end
+  (* Instruction fetch goes through the address space with execute
+     access: each page the text spans is Exec-checked (faulting it in)
+     once, at run start, and instructions are then decoded straight from
+     those pages' frames.  Nothing is copied and nothing outlives the run,
+     so a byte changed in a frame between two runs is seen by the second. *)
+  let first_vpn = Layout.vpn_of_addr code_base in
+  let frames =
+    if code_len <= 0 then [||]
+    else
+      Array.init
+        (Layout.vpn_of_addr (code_base + code_len - 1) - first_vpn + 1)
+        (fun i ->
+          let addr = Int.max code_base (Layout.addr_of_vpn (first_vpn + i)) in
+          Aspace.exec_frame aspace ~addr)
   in
-  (* Pull the image once page-by-page (each page exec-checked); real
-     hardware would fetch incrementally but the protection consequence is
-     identical and decode stays simple. *)
-  let code =
-    let out = Bytes.create code_len in
-    let pos = ref 0 in
-    while !pos < code_len do
-      let addr = code_base + !pos in
-      fetch_check addr;
-      let page_off = addr land (Layout.page_size - 1) in
-      let chunk = min (Layout.page_size - page_off) (code_len - !pos) in
-      Aspace.read_into aspace ~addr out ~pos:!pos ~len:chunk;
-      pos := !pos + chunk
-    done;
-    out
+  let page_off = code_base land (Layout.page_size - 1) in
+  let fetch i =
+    let a = page_off + i in
+    Char.code (Bytes.get frames.(a lsr Layout.page_shift) (a land (Layout.page_size - 1)))
   in
   let stack = ref [] in
   let return_stack = ref [] in
@@ -71,7 +64,7 @@ let run env ~code_base ~code_len ?(entry = 0) ~args_base () =
     if fuel <= 0 then raise (Fault { pc; reason = "out of fuel" });
     if pc < 0 || pc >= code_len then raise (Fault { pc; reason = "pc out of code range" });
     let instr, next =
-      try Isa.decode_at code pc
+      try Isa.decode ~fetch ~len:code_len pc
       with Invalid_argument msg -> raise (Fault { pc; reason = msg })
     in
     env.executed <- env.executed + 1;

@@ -107,12 +107,11 @@ let encode instrs =
     instrs;
   out
 
-let decode_at code off =
-  let n = Bytes.length code in
-  if off >= n then invalid_arg "Isa.decode_at: past end of code";
+let decode ~fetch ~len off =
+  if off >= len then invalid_arg "Isa.decode_at: past end of code";
   let u8 i =
-    if i >= n then invalid_arg "Isa.decode_at: truncated instruction";
-    Char.code (Bytes.get code i)
+    if i >= len then invalid_arg "Isa.decode_at: truncated instruction";
+    fetch i
   in
   let u32 i = u8 i lor (u8 (i + 1) lsl 8) lor (u8 (i + 2) lsl 16) lor (u8 (i + 3) lsl 24) in
   let s16 i =
@@ -153,6 +152,9 @@ let decode_at code off =
   | 0x1C -> simple Ret
   | 0x1D -> (Call (u32 (off + 1)), off + 5)
   | bad -> invalid_arg (Printf.sprintf "Isa.decode_at: bad opcode 0x%02x at %d" bad off)
+
+let decode_at code off =
+  decode ~fetch:(fun i -> Char.code (Bytes.get code i)) ~len:(Bytes.length code) off
 
 let pp ppf = function
   | Nop -> Format.pp_print_string ppf "nop"

@@ -55,6 +55,11 @@ val decode_at : bytes -> int -> instr * int
 (** [decode_at code off] is the instruction at [off] and the offset of the
     next one.  Raises [Invalid_argument] on a bad opcode or truncation. *)
 
+val decode : fetch:(int -> int) -> len:int -> int -> instr * int
+(** [decode ~fetch ~len off] is {!decode_at} over a code image of [len]
+    bytes whose byte [i] is [fetch i]; [fetch] is only called with
+    indices in [\[off, len)]. *)
+
 val length : instr -> int
 (** Encoded size in bytes. *)
 

@@ -81,19 +81,45 @@ let add_entry t ~start_addr ~size ~prot ~kind ~name =
   let entry = { start_addr; end_addr; prot; kind; name; inherited_from_peer = false } in
   t.entries <- List.sort (fun a b -> compare a.start_addr b.start_addr) (entry :: t.entries)
 
+(* Stands for "no entry" in the lookups below, which return an entry
+   rather than an option so that a memory access allocates nothing.  It is
+   never in any entry list. *)
+let no_entry =
+  {
+    start_addr = 0;
+    end_addr = 0;
+    prot = Prot.none;
+    kind = Mmap;
+    name = "";
+    inherited_from_peer = false;
+  }
+
+let rec entry_covering addr = function
+  | [] -> no_entry
+  | e :: rest ->
+      if addr >= e.start_addr && addr < e.end_addr then e else entry_covering addr rest
+
 let find_entry t addr =
-  List.find_opt (fun e -> addr >= e.start_addr && addr < e.end_addr) t.entries
+  let e = entry_covering addr t.entries in
+  if e == no_entry then None else Some e
 
 (* The entry that governs [addr] for protection purposes: a local one, or —
    inside the forced-share range — the peer's (the paper's modified
    uvm_fault consults the other process's map). *)
 let governing_entry t addr =
-  match find_entry t addr with
-  | Some _ as found -> found
-  | None ->
-      if in_share_range t addr then
-        match t.peer with Some p -> find_entry p addr | None -> None
-      else None
+  let e = entry_covering addr t.entries in
+  if e != no_entry then e
+  else
+    match t.peer with
+    | Some p when addr >= t.share_lo && addr < t.share_hi -> entry_covering addr p.entries
+    | Some _ | None -> no_entry
+
+(* Raises [Segv] when no entry governs [addr], [Prot_violation] when the
+   governing entry forbids [access]. *)
+let check_access t addr access =
+  let e = governing_entry t addr in
+  if e == no_entry then raise (Segv { addr; access });
+  if not (Prot.allows e.prot access) then raise (Prot_violation { addr; access })
 
 let drop_page t vpn =
   match Hashtbl.find_opt t.pages vpn with
@@ -173,37 +199,38 @@ let install_shared t vpn frame =
   Smod_metrics.Counter.incr m_pages_mapped;
   Clock.charge t.clock Cost.Page_map
 
+(* Materialise the absent page [vpn] (containing [addr]) once its access
+   has been checked, and return its mapping. *)
+let map_page t ~addr vpn =
+  let peer_mapping =
+    if in_share_range t addr then
+      match t.peer with
+      | Some p -> Hashtbl.find_opt p.pages vpn
+      | None -> None
+    else None
+  in
+  Smod_metrics.Counter.incr m_faults;
+  match peer_mapping with
+  | Some pm ->
+      (* Modified uvm_fault: the peer already has this page — map the
+         same frame here as a share. *)
+      Clock.charge t.clock Cost.Peer_share_fault;
+      Smod_metrics.Counter.incr m_peer_share_faults;
+      pm.shared <- true;
+      install_shared t vpn pm.frame;
+      Hashtbl.find t.pages vpn
+  | None ->
+      Clock.charge t.clock Cost.Page_fault_resolve;
+      let m = { frame = Phys.alloc t.phys; shared = in_share_range t addr } in
+      Hashtbl.replace t.pages vpn m;
+      Smod_metrics.Counter.incr m_pages_mapped;
+      Clock.charge t.clock Cost.Page_map;
+      m
+
 let fault t ~addr ~access =
+  check_access t addr access;
   let vpn = Layout.vpn_of_addr addr in
-  match governing_entry t addr with
-  | None -> raise (Segv { addr; access })
-  | Some entry ->
-      if not (Prot.allows entry.prot access) then raise (Prot_violation { addr; access });
-      if not (Hashtbl.mem t.pages vpn) then begin
-        let peer_mapping =
-          if in_share_range t addr then
-            match t.peer with
-            | Some p -> Hashtbl.find_opt p.pages vpn
-            | None -> None
-          else None
-        in
-        Smod_metrics.Counter.incr m_faults;
-        match peer_mapping with
-        | Some pm ->
-            (* Modified uvm_fault: the peer already has this page — map the
-               same frame here as a share. *)
-            Clock.charge t.clock Cost.Peer_share_fault;
-            Smod_metrics.Counter.incr m_peer_share_faults;
-            pm.shared <- true;
-            install_shared t vpn pm.frame
-        | None ->
-            Clock.charge t.clock Cost.Page_fault_resolve;
-            let frame = Phys.alloc t.phys in
-            let shared = in_share_range t addr in
-            Hashtbl.replace t.pages vpn { frame; shared };
-            Smod_metrics.Counter.incr m_pages_mapped;
-            Clock.charge t.clock Cost.Page_map
-      end
+  if not (Hashtbl.mem t.pages vpn) then ignore (map_page t ~addr vpn)
 
 let is_mapped t addr = Hashtbl.mem t.pages (Layout.vpn_of_addr addr)
 
@@ -311,34 +338,30 @@ let rec obreak t new_brk =
 (* Byte access                                                      *)
 (* --------------------------------------------------------------- *)
 
+(* The hot path of every load and store: the protection check (present
+   pages included), then one page-table lookup, with no option or
+   closure allocated.  An absent page is faulted in as by [fault]. *)
 let ensure_mapped t addr access =
+  check_access t addr access;
   let vpn = Layout.vpn_of_addr addr in
-  (match Hashtbl.find_opt t.pages vpn with
-  | Some _ -> (
-      (* Page present: still verify protection via the governing entry. *)
-      match governing_entry t addr with
-      | Some e -> if not (Prot.allows e.prot access) then raise (Prot_violation { addr; access })
-      | None -> raise (Segv { addr; access }))
-  | None -> fault t ~addr ~access);
-  Hashtbl.find t.pages vpn
+  match Hashtbl.find t.pages vpn with
+  | m -> m
+  | exception Not_found -> map_page t ~addr vpn
 
-let read_into t ~addr buf ~pos ~len =
+let exec_frame t ~addr = (ensure_mapped t addr Prot.Exec).frame.Phys.data
+
+let read_bytes t ~addr ~len =
   if len < 0 then raise (Bad_range "negative length");
-  if pos < 0 || pos > Bytes.length buf - len then invalid_arg "Aspace.read_into";
+  let out = Bytes.create len in
   let done_ = ref 0 in
   while !done_ < len do
     let a = addr + !done_ in
     let m = ensure_mapped t a Prot.Read in
     let page_off = a land (Layout.page_size - 1) in
     let chunk = min (Layout.page_size - page_off) (len - !done_) in
-    Bytes.blit m.frame.Phys.data page_off buf (pos + !done_) chunk;
+    Bytes.blit m.frame.Phys.data page_off out !done_ chunk;
     done_ := !done_ + chunk
-  done
-
-let read_bytes t ~addr ~len =
-  if len < 0 then raise (Bad_range "negative length");
-  let out = Bytes.create len in
-  read_into t ~addr out ~pos:0 ~len;
+  done;
   out
 
 let write_bytes t ~addr data =

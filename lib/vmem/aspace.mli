@@ -90,10 +90,12 @@ val obreak : t -> int -> unit
 val read_bytes : t -> addr:int -> len:int -> bytes
 (** Demand-pages via {!fault} as needed. *)
 
-val read_into : t -> addr:int -> bytes -> pos:int -> len:int -> unit
-(** [read_into t ~addr buf ~pos ~len] is {!read_bytes} written into
-    [buf] at [pos] instead of a fresh buffer, with the same Read checks.
-    Raises [Invalid_argument] if the range does not fit in [buf]. *)
+val exec_frame : t -> addr:int -> bytes
+(** The frame backing the page that contains [addr], after checking
+    execute access exactly as {!fault} does (faulting the page in if
+    absent).  Instruction fetch decodes straight from these bytes; they
+    are the live frame, not a copy, so later writes to the page show
+    through. *)
 
 val write_bytes : t -> addr:int -> bytes -> unit
 val read_u8 : t -> addr:int -> int

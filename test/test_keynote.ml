@@ -288,6 +288,105 @@ let test_non_policy_assertions_ignored_at_root () =
   Alcotest.(check string) "rogue root ignored" "deny"
     (query ~policy:[ rogue ] ~credentials:[] ~attrs:[] ~requesters:[ "mallory" ])
 
+(* ----------------------------- comparator -------------------------- *)
+
+(* The rule [Eval.compare_values] must keep: numeric when both sides parse
+   with [int_of_string_opt], polymorphic [compare] otherwise. *)
+let reference_compare a b =
+  match (int_of_string_opt a, int_of_string_opt b) with
+  | Some ia, Some ib -> compare ia ib
+  | _ -> compare a b
+
+let sign c = Int.compare c 0
+
+(* Text on both sides of [int_of_string]'s grammar: signs, radix and
+   unsigned prefixes, underscores, blanks, leading zeros, and the ends of
+   the int range (plus one past each, which must not parse). *)
+let edge_strings =
+  [
+    "";
+    "+";
+    "-";
+    "+7";
+    "-0";
+    "0x1F";
+    "0b101";
+    "0o17";
+    "0u5";
+    "1_000";
+    "_1";
+    " 1";
+    "1 ";
+    "00";
+    "7";
+    "abc";
+    string_of_int max_int;
+    string_of_int (max_int - 1);
+    Printf.sprintf "%d%d" (max_int / 10) ((max_int mod 10) + 1);
+    string_of_int min_int;
+    string_of_int (min_int + 1);
+    Printf.sprintf "-%d%d" (-(min_int / 10)) (-(min_int mod 10) + 1);
+  ]
+
+let check_against_reference a b =
+  Alcotest.(check int)
+    (Printf.sprintf "sign of compare_values %S %S" a b)
+    (sign (reference_compare a b))
+    (sign (Eval.compare_values a b))
+
+let test_compare_values_edges () =
+  List.iter (fun a -> List.iter (check_against_reference a) edge_strings) edge_strings
+
+let prop_compare_values_matches_reference =
+  let open QCheck.Gen in
+  let gen_text =
+    oneof
+      [
+        oneofl edge_strings;
+        map string_of_int int;
+        string_size ~gen:(oneofl [ '0'; '1'; '9'; '+'; '-'; '_'; 'x'; 'b'; 'o'; 'u'; ' '; 'a' ])
+          (0 -- 6);
+        map2 ( ^ ) (oneofl edge_strings) (oneofl edge_strings);
+      ]
+  in
+  QCheck.Test.make ~name:"compare_values has the sign of the reference rule" ~count:5000
+    (QCheck.make ~print:QCheck.Print.(pair string string) (pair gen_text gen_text))
+    (fun (a, b) -> sign (Eval.compare_values a b) = sign (reference_compare a b))
+
+(* policy_ring's admission query: 16 POLICY assertions over string
+   attributes, the requester trusted directly.  Comparing two strings no
+   longer raises, attribute lookups build no option, and no per-query
+   table is created when every licensee is a requester. *)
+let test_query_allocation () =
+  let assertion conds = policy_trusting ~conds:(conds ^ " -> \"allow\";") "\"client\"" in
+  let policy =
+    assertion
+      "(phase == \"session\" || function < \"x\") && module == \"ringmod\" && tier == \"gold\""
+    :: List.init 15 (fun i ->
+           assertion (Printf.sprintf "function == \"__clause_%d\" && module == \"ringmod\"" i))
+  in
+  let attrs =
+    [
+      ("phase", "call");
+      ("function", "vf_00");
+      ("module", "ringmod");
+      ("calls_so_far", "0");
+      ("tier", "gold");
+    ]
+  in
+  let levels = [| "deny"; "allow" |] in
+  let run () = Eval.query ~policy ~credentials:[] ~attrs ~requesters:[ "client" ] ~levels in
+  Alcotest.(check string) "admitted" "allow" (run ()).Eval.level;
+  let n = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (run ())
+  done;
+  let per_query = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per 16-assertion query <= 200" per_query)
+    true (per_query <= 200.0)
+
 (* ----------------------------- keystore ---------------------------- *)
 
 let test_sign_and_verify () =
@@ -460,6 +559,12 @@ let () =
           tc "rogue root ignored" test_non_policy_assertions_ignored_at_root;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_requesters_monotone ] );
+      ( "comparator",
+        [
+          tc "edge strings, all pairs" test_compare_values_edges;
+          tc "query allocation" test_query_allocation;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_compare_values_matches_reference ] );
       ( "keystore",
         [
           tc "sign and verify" test_sign_and_verify;

@@ -455,6 +455,102 @@ let prop_interpreter_matches_reference =
           let env = Interp.make_env ~aspace:a ~clock () in
           Interp.run env ~code_base ~code_len:(Bytes.length code) ~args_base () = want)
 
+(* ---------------------------- frame fetch ---------------------------- *)
+
+(* Words allocated by [f ()] on either heap: buffers over 256 words go
+   straight to the major heap, which [Gc.minor_words] would not see.  The
+   counters can jump when a collection lands inside the window, so this
+   is the least of five trials. *)
+let allocated_words f =
+  let trial () =
+    let minor0, promoted0, major0 = Gc.counters () in
+    f ();
+    let minor1, promoted1, major1 = Gc.counters () in
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  List.fold_left Float.min infinity (List.init 5 (fun _ -> trial ()))
+
+(* The same function run over a 1-page and an 8-page text: a run decodes
+   from the mapped frames, so its cost does not grow with the text. *)
+let test_run_allocation_independent_of_text_size () =
+  let phys = Phys.create () in
+  let clock = Clock.create ~jitter:0.0 () in
+  let a = Aspace.create ~phys ~clock ~name:"svm" in
+  Aspace.add_entry a ~start_addr:code_base ~size:(8 * Layout.page_size) ~prot:Prot.rx
+    ~kind:Aspace.Text ~name:"code";
+  Aspace.add_entry a ~start_addr:Layout.data_base ~size:Layout.page_size ~prot:Prot.rw
+    ~kind:Aspace.Data ~name:"data";
+  Aspace.write_word a ~addr:args_base 40;
+  let code = Asm.assemble "loadarg 0\npush 2\nadd\nret" in
+  Bytes.blit code 0 (Aspace.exec_frame a ~addr:code_base) 0 (Bytes.length code);
+  let env = Interp.make_env ~aspace:a ~clock () in
+  let run pages =
+    Interp.run env ~code_base ~code_len:(pages * Layout.page_size) ~args_base ()
+  in
+  Alcotest.(check int) "1-page result" 42 (run 1);
+  Alcotest.(check int) "8-page result" 42 (run 8);
+  let n = 20 in
+  let per_run pages =
+    allocated_words (fun () ->
+        for _ = 1 to n do
+          ignore (run pages)
+        done)
+    /. float_of_int n
+  in
+  let one = per_run 1 and eight = per_run 8 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per run (1 page) vs %.1f (8 pages): within 16" one eight)
+    true
+    (Float.abs (eight -. one) <= 16.0)
+
+let test_flipped_frame_byte_seen_by_next_run () =
+  let a, clock = setup () in
+  Aspace.write_bytes a ~addr:code_base (Isa.encode [ Isa.Push 5; Isa.Ret ]);
+  let env = Interp.make_env ~aspace:a ~clock () in
+  let run () = Interp.run env ~code_base ~code_len:6 ~args_base () in
+  Alcotest.(check int) "first run" 5 (run ());
+  (* The low byte of [Push]'s immediate, in the frame itself. *)
+  let frame = Aspace.exec_frame a ~addr:code_base in
+  Bytes.set frame ((code_base land (Layout.page_size - 1)) + 1) '\009';
+  Alcotest.(check int) "second run sees the flipped byte" 9 (run ())
+
+let test_instruction_across_pages () =
+  let a, clock = setup () in
+  let base = code_base + Layout.page_size - 2 in
+  Aspace.write_bytes a ~addr:base (Isa.encode [ Isa.Push 0x01020304; Isa.Ret ]);
+  let env = Interp.make_env ~aspace:a ~clock () in
+  Alcotest.(check int) "immediate split over two frames" 0x01020304
+    (Interp.run env ~code_base:base ~code_len:6 ~args_base ())
+
+let test_truncated_at_end_of_text () =
+  let a, clock = setup () in
+  (* The frame holds the whole [Push]; the text ends after 3 bytes. *)
+  Aspace.write_bytes a ~addr:code_base (Isa.encode [ Isa.Push 7; Isa.Ret ]);
+  let env = Interp.make_env ~aspace:a ~clock () in
+  Alcotest.(check bool) "truncated instruction faults" true
+    (match Interp.run env ~code_base ~code_len:3 ~args_base () with
+    | _ -> false
+    | exception Interp.Fault { pc = 0; reason } ->
+        reason = "Isa.decode_at: truncated instruction"
+    | exception Interp.Fault _ -> false)
+
+let test_later_page_without_exec_faults_at_start () =
+  let phys = Phys.create () in
+  let clock = Clock.create ~jitter:0.0 () in
+  let a = Aspace.create ~phys ~clock ~name:"svm" in
+  Aspace.add_entry a ~start_addr:code_base ~size:Layout.page_size ~prot:Prot.rx
+    ~kind:Aspace.Text ~name:"code";
+  Aspace.add_entry a ~start_addr:(code_base + Layout.page_size) ~size:Layout.page_size
+    ~prot:Prot.r ~kind:Aspace.Data ~name:"rodata";
+  Bytes.blit (Isa.encode [ Isa.Push 1; Isa.Ret ]) 0 (Aspace.exec_frame a ~addr:code_base) 0 6;
+  let env = Interp.make_env ~aspace:a ~clock () in
+  Alcotest.(check bool) "second page lacks exec" true
+    (match Interp.run env ~code_base ~code_len:(Layout.page_size + 16) ~args_base () with
+    | _ -> false
+    | exception Aspace.Prot_violation { addr; access = Prot.Exec } ->
+        addr = code_base + Layout.page_size);
+  Alcotest.(check int) "nothing executed" 0 (Interp.instructions_executed env)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "svm"
@@ -509,4 +605,12 @@ let () =
           tc "asm call needs relocs" test_asm_call_requires_relocs;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_interpreter_matches_reference ] );
+      ( "frame fetch",
+        [
+          tc "allocation independent of text size" test_run_allocation_independent_of_text_size;
+          tc "flipped frame byte seen" test_flipped_frame_byte_seen_by_next_run;
+          tc "instruction across pages" test_instruction_across_pages;
+          tc "truncated at end of text" test_truncated_at_end_of_text;
+          tc "later page without exec" test_later_page_without_exec_faults_at_start;
+        ] );
     ]

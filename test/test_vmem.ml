@@ -343,6 +343,99 @@ let test_destroy_releases_frames () =
 
 (* --------------------------- properties ---------------------------- *)
 
+(* ------------------------- access fast path ------------------------- *)
+
+type outcome = Allowed | Prot_denied | Segv_raised
+
+let outcome_of f =
+  match f () with
+  | () -> Allowed
+  | exception Aspace.Prot_violation _ -> Prot_denied
+  | exception Aspace.Segv _ -> Segv_raised
+
+let pp_outcome ppf o =
+  Format.pp_print_string ppf
+    (match o with
+    | Allowed -> "allowed"
+    | Prot_denied -> "prot violation"
+    | Segv_raised -> "segv")
+
+let access_word space addr = function
+  | Prot.Read -> ignore (Aspace.read_word space ~addr)
+  | Prot.Write -> Aspace.write_word space ~addr 0x5a5a
+  | Prot.Exec -> ignore (Aspace.exec_frame space ~addr)
+
+(* Every row's page is already mapped, so the protection decision is the
+   one [read_word], [write_word] and [exec_frame] make on a present page:
+   local entries first, then the peer's inside the share range. *)
+let test_access_table () =
+  let _, _, client, handle = make_pair () in
+  Aspace.force_share ~client ~handle ~lo:Layout.share_lo ~hi:Layout.share_hi;
+  (* An entry the client adds after the share: the handle has no entry of
+     its own there, so the client's read-only entry governs its access. *)
+  let peer_ro = Layout.data_base + (32 * Layout.page_size) in
+  Aspace.add_entry client ~start_addr:peer_ro ~size:Layout.page_size ~prot:Prot.r
+    ~kind:Aspace.Mmap ~name:"peer-ro";
+  let data = Layout.data_base and text = Layout.text_base in
+  ignore (Aspace.read_word client ~addr:data);
+  ignore (Aspace.read_word client ~addr:text);
+  ignore (Aspace.read_word handle ~addr:peer_ro);
+  let rows =
+    [
+      ("local rw- read", client, data, Prot.Read, Allowed);
+      ("local rw- write", client, data, Prot.Write, Allowed);
+      ("local rw- exec", client, data, Prot.Exec, Prot_denied);
+      ("local r-x read", client, text, Prot.Read, Allowed);
+      ("local r-x write", client, text, Prot.Write, Prot_denied);
+      ("local r-x exec", client, text, Prot.Exec, Allowed);
+      ("peer r-- read", handle, peer_ro, Prot.Read, Allowed);
+      ("peer r-- write", handle, peer_ro, Prot.Write, Prot_denied);
+      ("peer r-- exec", handle, peer_ro, Prot.Exec, Prot_denied);
+    ]
+  in
+  let check (label, space, addr, access, want) =
+    Alcotest.(check bool) (label ^ ": page present") true (Aspace.is_mapped space addr);
+    Alcotest.check (Alcotest.testable pp_outcome ( = )) label want
+      (outcome_of (fun () -> access_word space addr access))
+  in
+  List.iter check rows;
+  (* Taking the access away from an entry whose page is already mapped. *)
+  Aspace.protect_range client ~start_addr:data ~size:(16 * Layout.page_size) ~prot:Prot.none;
+  check ("mapped rw- page after protect_range none", client, data, Prot.Read, Prot_denied);
+  (* A page still mapped after the entry that governed it went away. *)
+  Aspace.set_peer handle None;
+  check ("mapped page with no governing entry", handle, peer_ro, Prot.Read, Segv_raised);
+  Alcotest.check (Alcotest.testable pp_outcome ( = )) "outside every entry" Segv_raised
+    (outcome_of (fun () -> access_word client 0x7000_0000 Prot.Read))
+
+let test_first_touch_charges () =
+  let _, clock, a = fresh () in
+  let expected = mk_clock () in
+  Clock.charge expected Smod_sim.Cost_model.Page_fault_resolve;
+  Clock.charge expected Smod_sim.Cost_model.Page_map;
+  let before = Clock.now_cycles clock in
+  Aspace.write_word a ~addr:Layout.data_base 1;
+  Alcotest.(check (float 0.0)) "fault resolve + map" (Clock.now_cycles expected)
+    (Clock.now_cycles clock -. before);
+  let before = Clock.now_cycles clock in
+  ignore (Aspace.read_word a ~addr:Layout.data_base);
+  Aspace.write_word a ~addr:(Layout.data_base + 4) 2;
+  Alcotest.(check (float 0.0)) "a present page is free" 0.0 (Clock.now_cycles clock -. before)
+
+let test_word_access_allocation () =
+  let _, _, a = fresh () in
+  let addr = Layout.data_base + 8 in
+  Aspace.write_word a ~addr 1;
+  let n = 1000 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    Aspace.write_word a ~addr (Aspace.read_word a ~addr + i)
+  done;
+  let per_pair = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f words per read_word + write_word = 0" per_pair)
+    true (per_pair < 0.01)
+
 (* Random write/read roundtrip across the data region. *)
 let prop_write_read =
   QCheck.Test.make ~name:"write/read roundtrip at random offsets" ~count:300
@@ -430,6 +523,12 @@ let () =
           tc "modified sys_obreak propagates" test_obreak_propagates_to_peer;
           tc "unpairing stops sharing" test_set_peer_none_stops_sharing;
           tc "shared page accounting" test_shared_page_count;
+        ] );
+      ( "access fast path",
+        [
+          tc "protection table" test_access_table;
+          tc "first touch charges" test_first_touch_charges;
+          tc "word access allocates nothing" test_word_access_allocation;
         ] );
       ( "clone/destroy",
         [
